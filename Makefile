@@ -4,7 +4,7 @@ GO ?= go
 # (BENCH_<pr>.json) doesn't overwrite the last.
 BENCH ?= BENCH_10.json
 
-.PHONY: build test vet race verify bench bench-json serve loadsmoke load shardsmoke feedbacksmoke
+.PHONY: build test vet race verify bench bench-json serve loadsmoke load shardsmoke feedbacksmoke fuzzsmoke
 
 build:
 	$(GO) build ./...
@@ -27,8 +27,9 @@ race:
 # verify = tier-1 (build + full tests) plus vet, the race checks, the
 # end-to-end load smoke (real seldond + seldonload over loopback), the
 # distributed-learning smoke (real worker subprocesses + coordinator),
-# and the continuous-learning smoke (feedback loop under -race).
-verify: vet race build test loadsmoke shardsmoke feedbacksmoke
+# the continuous-learning smoke (feedback loop under -race), and a short
+# fuzzing pass over the shard artifact decoder.
+verify: vet race build test loadsmoke shardsmoke feedbacksmoke fuzzsmoke
 	@echo "verify OK"
 
 # loadsmoke boots the service in-process on a free port, drives two
@@ -91,6 +92,18 @@ shardsmoke:
 # cache entry, missing pin, or stuck generation fails CI here.
 feedbacksmoke:
 	$(GO) run -race ./cmd/feedbacksmoke
+
+# fuzzsmoke fuzzes the shard artifact decoder (shard.ReadArtifact, the
+# coordinator's only ingest path for bytes it did not produce) for ten
+# seconds: every input must yield a named sentinel error or a settled
+# artifact, never a panic or an input-unbounded allocation. The seed
+# corpus is the round-trip artifacts plus the whole fault matrix.
+# -fuzzminimizetime 200x bounds how long each newly interesting input is
+# minimized; at the 60s default one multi-KB seed mutation would eat
+# the whole budget. A failure writes the input under
+# internal/shard/testdata/fuzz/ for replay with plain go test.
+fuzzsmoke:
+	$(GO) test -run '^$$' -fuzz FuzzReadArtifact -fuzztime 10s -fuzzminimizetime 200x ./internal/shard
 
 # load runs a longer self-served closed-loop measurement and prints the
 # latency percentiles (see also: seldonload -rps for open-loop SLO runs

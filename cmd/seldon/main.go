@@ -413,56 +413,33 @@ func coordinate(cc coordinateConfig, seedSpec *spec.Spec, cfg core.Config) (*cor
 	}
 	gatherWall := time.Since(t0)
 
-	res, err := coordinatedLearn(cc.FlowCache, mres, seedSpec, cfg)
-	if err != nil {
-		return nil, nil, err
+	// With a -flowcache file the constraint stage reuses the persisted
+	// flow-constraint blocks of every file whose fingerprint still
+	// matches (byte-identical to a full build) and saves the refreshed
+	// cache back; without one it is a full build.
+	var fc *constraints.FlowCache
+	if cc.FlowCache != "" && mres.Spans != nil {
+		var warm bool
+		fc, warm = constraints.LoadFlowCache(cc.FlowCache, cfg.Constraints)
+		cfg.Log.Log("flowcache.load", "path", cc.FlowCache, "warm", warm)
 	}
+	sys, _, build := core.BuildConstraints(mres.Graph, seedSpec, cfg, mres.Spans, fc)
+	res := core.LearnPrepared(mres.Graph, sys, cfg)
 	res.Stages = append([]core.StageTiming{
 		{Name: gatherName, Duration: gatherWall},
 		{Name: obs.TimerShardMerge, Duration: mres.MergeWall},
+		build,
 	}, res.Stages...)
 	res.ParseErrors = mres.ParseErrors
 	res.ParseErrorFiles = mres.ParseErrorFiles
+	if fc != nil {
+		if err := fc.Save(cc.FlowCache, cfg.Constraints); err != nil {
+			// The run's result is already in hand; a failed save only
+			// costs the next run its warm start.
+			fmt.Fprintln(os.Stderr, "seldon: flowcache save:", err)
+		}
+	}
 	return res, mres, nil
-}
-
-// coordinatedLearn runs inference over the merged graph. With a
-// -flowcache file it loads the persisted flow-constraint blocks, builds
-// the system incrementally against the merge's file spans (byte-
-// identical to the full build — reuse is fingerprint-gated), saves the
-// refreshed cache back, and hands the prepared system to the solver;
-// without one it is core.Learn.
-func coordinatedLearn(flowPath string, mres *shard.MergeResult, seedSpec *spec.Spec, cfg core.Config) (*core.Result, error) {
-	if flowPath == "" || mres.Spans == nil {
-		return core.Learn(mres.Graph, seedSpec, cfg), nil
-	}
-	copts := cfg.Constraints
-	copts.Metrics = cfg.Metrics
-	if copts.Workers == 0 {
-		copts.Workers = cfg.Workers
-	}
-	fc, warm := constraints.LoadFlowCache(flowPath, copts)
-
-	sp := cfg.Span.StartChild(obs.StageConstraints)
-	tb := time.Now()
-	sys, st := constraints.BuildIncremental(mres.Graph, seedSpec, copts, mres.Spans, fc)
-	buildWall := time.Since(tb)
-	sp.End()
-	cfg.Metrics.ObserveDuration(obs.StageConstraints, buildWall)
-	cfg.Log.Log(obs.StageConstraints, "dur", buildWall.Round(time.Microsecond),
-		"flowcache", flowPath, "warm", warm,
-		"spans", st.Spans, "reused", st.SpansReused, "rebuilt", st.SpansRebuilt)
-
-	res := core.LearnPrepared(mres.Graph, sys, cfg)
-	res.Stages = append([]core.StageTiming{
-		{Name: obs.StageConstraints, Duration: buildWall},
-	}, res.Stages...)
-	if err := fc.Save(flowPath, copts); err != nil {
-		// The run's result is already in hand; a failed save only costs
-		// the next run its warm start.
-		fmt.Fprintln(os.Stderr, "seldon: flowcache save:", err)
-	}
-	return res, nil
 }
 
 // coordinatorSeed resolves the seed specification for a coordinator

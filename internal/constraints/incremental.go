@@ -12,15 +12,16 @@ import (
 	"seldon/internal/spec"
 )
 
-// Delta-aware constraint building. A disjoint union assigns each corpus
-// file a contiguous event-ID range, and edges never cross files, so
-// weakly connected components — the unit pass 4 generates constraints
-// over — never cross file spans either. weakComponents discovers
-// components in ascending event-ID order, which means the global flow
-// pass is exactly the concatenation of per-file flow passes in span
-// order. BuildIncremental exploits that: passes 1–3 (linear, cheap) run
-// from scratch every time, but the superlinear pass 4 reuses a cached
-// constraint block for every file whose support set is unchanged.
+// The flow pass and its delta-aware reuse. A disjoint union assigns each
+// corpus file a contiguous event-ID range, and edges never cross files,
+// so weakly connected components — the unit pass 4 generates constraints
+// over — never cross file spans either. Components are discovered in
+// ascending event-ID order, which means the global flow pass is exactly
+// the concatenation of per-file flow passes in span order. The pass is
+// therefore one routine, buildFlowRange: a full build runs it once over
+// [0, n), and BuildIncremental runs it per file span, reusing a cached
+// constraint block for every file whose support set is unchanged. Passes
+// 1–3 (linear, cheap) run from scratch every time.
 //
 // A block's support set is everything its constraints can depend on:
 // the file's internal graph structure (covered by the span's content
@@ -31,7 +32,7 @@ import (
 // renumbers its variables, changes that file's fingerprint and forces a
 // rebuild — so a cache hit is sound, not heuristic. The equivalence
 // tests pin the stronger property: the incrementally built system is
-// byte-identical to Build on the same graph.
+// byte-identical to a full build on the same graph.
 
 // Span describes the contiguous event range one corpus file contributes
 // to a disjoint union. Hash identifies the file's graph content (the
@@ -91,12 +92,14 @@ type DeltaStats struct {
 	FellBack bool
 }
 
-// BuildIncremental constructs the same constraint system Build would,
-// byte for byte, reusing cached flow-constraint blocks for files whose
-// support set is unchanged since the last build. spans must list the
-// union's file spans in event-ID order; cache carries blocks between
-// calls and is updated in place (stale files pruned, rebuilt files
-// replaced). A nil cache or invalid spans degrade to a full build.
+// BuildIncremental constructs the constraint system for a global
+// propagation graph, reusing cached flow-constraint blocks for files
+// whose support set is unchanged since the last build; the result is
+// byte-identical to a full build. spans must list the union's file spans
+// in event-ID order; cache carries blocks between calls and is updated in
+// place (stale files pruned, rebuilt files replaced). A nil cache or
+// invalid spans degrade to a full build. The incr.* reuse gauges and the
+// flowcache.* counters are recorded only when a cache is passed.
 func BuildIncremental(g *propgraph.Graph, seed *spec.Spec, opts Options,
 	spans []Span, cache *FlowCache) (*System, DeltaStats) {
 	opts = opts.withDefaults()
@@ -105,13 +108,11 @@ func BuildIncremental(g *propgraph.Graph, seed *spec.Spec, opts Options,
 	st := DeltaStats{Spans: len(spans)}
 
 	t0 := time.Now()
+	sc := flowScratch{localOf: make([]int32, len(g.Events))}
 	if cache == nil || !spansClosed(g, spans) {
 		st.FellBack = true
-		s.buildFlowConstraints(g)
+		s.buildFlowRange(g, 0, len(g.Events), &sc)
 	} else {
-		localOf := make([]int32, len(g.Events))
-		var sc flowScratch
-		sc.localOf = localOf
 		h := sha256.New()
 		for i := range spans {
 			sp := &spans[i]
@@ -155,9 +156,9 @@ func BuildIncremental(g *propgraph.Graph, seed *spec.Spec, opts Options,
 	m.ObserveDuration(obs.StageConstraintsFlow, time.Since(t0))
 
 	s.finishMetrics(workers)
-	m.Set(obs.GaugeIncrSpansReused, float64(st.SpansReused))
-	m.Set(obs.GaugeIncrConstraintsReused, float64(st.ConstraintsReused))
 	if cache != nil {
+		m.Set(obs.GaugeIncrSpansReused, float64(st.SpansReused))
+		m.Set(obs.GaugeIncrConstraintsReused, float64(st.ConstraintsReused))
 		// flowcache.{hits,misses} count per-span block reuse whenever a
 		// cache is in play; a fallback build consulted the cache for
 		// nothing, so every presented span is a miss.
@@ -238,11 +239,12 @@ func (s *System) spanFingerprint(h hash.Hash, g *propgraph.Graph, sp *Span) [32]
 	return out
 }
 
-// buildFlowRange runs the pass-4 machinery over events [lo, hi), which
-// must be closed under edges (spansClosed). Component discovery,
-// bucketing, and per-component generation mirror buildFlowConstraints
-// exactly, so concatenating ranges in span order reproduces the global
-// constraint stream byte for byte.
+// buildFlowRange is pass 4 over events [lo, hi), which must be closed
+// under edges (spansClosed): the Fig. 4 patterns enumerated by forward
+// reachability inside each weakly connected component. Components are
+// bucketed with a counting sort; IDs are assigned in discovery order and
+// events scanned in increasing ID order, so concatenating ranges in span
+// order reproduces the full-range constraint stream byte for byte.
 func (s *System) buildFlowRange(g *propgraph.Graph, lo, hi int, sc *flowScratch) {
 	n := hi - lo
 	if n < 2 {
@@ -264,6 +266,9 @@ func (s *System) buildFlowRange(g *propgraph.Graph, lo, hi int, sc *flowScratch)
 		byComp[counts[c]] = id
 		counts[c]++
 	}
+	// Each event's index inside its component bucket. Edges never cross
+	// weak components, so buildComponent can translate any neighbor
+	// through this array instead of a per-component map.
 	for k, id := range byComp {
 		sc.localOf[id] = int32(k - starts[comp[id-lo]])
 	}
@@ -280,9 +285,10 @@ func (s *System) buildFlowRange(g *propgraph.Graph, lo, hi int, sc *flowScratch)
 	}
 }
 
-// weakComponentsRange is weakComponents restricted to events [lo, hi);
-// comp is indexed by id-lo. Neighbors are assumed in-range (the caller
-// validated closure).
+// weakComponentsRange labels each event in [lo, hi) with a weakly
+// connected component ID (comp is indexed by id-lo) and returns the
+// labels and the component count. Neighbors are assumed in range (the
+// caller validated closure).
 func weakComponentsRange(g *propgraph.Graph, lo, hi int) ([]int, int) {
 	n := hi - lo
 	comp := make([]int, n)

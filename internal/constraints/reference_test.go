@@ -101,7 +101,7 @@ func referenceBuild(g *propgraph.Graph, reps [][]string, symOf map[string]propgr
 		}
 	}
 	s.Problem = &lp.Problem{NumVars: len(s.Vars), C: opts.C, Lambda: opts.Lambda, Known: known}
-	s.buildFlowConstraints(g)
+	s.buildFlowRange(g, 0, len(g.Events), &flowScratch{localOf: make([]int32, len(g.Events))})
 	return s
 }
 

@@ -186,25 +186,16 @@ func (s *System) InfoFor(eventID int) *EventInfo {
 	return &s.EventInfos[s.infoByEvent[eventID]]
 }
 
-// Build constructs the constraint system for a global propagation graph.
+// Build constructs the constraint system for a global propagation graph:
+// BuildIncremental with no spans and no cache, i.e. a full flow pass.
 func Build(g *propgraph.Graph, seed *spec.Spec, opts Options) *System {
-	opts = opts.withDefaults()
-	s, workers := buildCore(g, seed, opts)
-	m := opts.Metrics
-
-	// Pass 4: flow constraints per weakly connected component.
-	t0 := time.Now()
-	s.buildFlowConstraints(g)
-	m.ObserveDuration(obs.StageConstraintsFlow, time.Since(t0))
-
-	s.finishMetrics(workers)
+	s, _ := BuildIncremental(g, seed, opts, nil, nil)
 	return s
 }
 
 // buildCore runs passes 1–3 (frequencies, candidate filter, variables +
 // seed pins) and returns the system ready for flow-constraint
-// generation, plus the resolved worker count. It is shared by Build and
-// BuildIncremental so both produce bit-identical variable tables.
+// generation, plus the resolved worker count.
 func buildCore(g *propgraph.Graph, seed *spec.Spec, opts Options) (*System, int) {
 	s := &System{
 		Syms:        g.Syms,
@@ -415,52 +406,6 @@ func (s *System) isCand(id int, role propgraph.Role) bool {
 	return info != nil && info.Roles.Has(role)
 }
 
-// buildFlowConstraints enumerates the Fig. 4 patterns using per-component
-// forward reachability over the (acyclic) propagation graph.
-func (s *System) buildFlowConstraints(g *propgraph.Graph) {
-	n := len(g.Events)
-	comp, ncomp := weakComponents(g)
-	// Bucket events by component with a counting sort. Component IDs are
-	// assigned in increasing discovery order and events are scanned in
-	// increasing ID order, so both the component iteration order and the
-	// event order inside each bucket match the previous sorted-map walk.
-	counts := make([]int, ncomp)
-	for _, c := range comp {
-		counts[c]++
-	}
-	starts := make([]int, ncomp+1)
-	for c, k := range counts {
-		starts[c+1] = starts[c] + k
-	}
-	copy(counts, starts[:ncomp]) // reuse as per-component cursors
-	byComp := make([]int, n)
-	for id := 0; id < n; id++ {
-		c := comp[id]
-		byComp[counts[c]] = id
-		counts[c]++
-	}
-	// Each event's index inside its component bucket. Edges never cross
-	// weak components, so buildComponent can translate any neighbor through
-	// this array instead of a per-component map.
-	localOf := make([]int32, n)
-	for k, id := range byComp {
-		localOf[id] = int32(k - starts[comp[id]])
-	}
-	var sc flowScratch
-	sc.localOf = localOf
-	for c := 0; c < ncomp; c++ {
-		events := byComp[starts[c]:starts[c+1]]
-		if len(events) < 2 {
-			continue
-		}
-		if len(events) > s.Opts.MaxComponent {
-			s.SkippedComponents++
-			continue
-		}
-		s.buildComponent(g, events, &sc)
-	}
-}
-
 // flowScratch holds buffers reused across buildComponent calls so the
 // per-component bookkeeping (degrees, topological order, reachability
 // bitsets) does not allocate once the largest component has been seen.
@@ -648,41 +593,4 @@ func (s *System) buildComponent(g *propgraph.Graph, events []int, sc *flowScratc
 			})
 		}
 	}
-}
-
-// weakComponents labels each event with a weakly-connected-component ID,
-// returning the labels and the number of components.
-func weakComponents(g *propgraph.Graph) ([]int, int) {
-	n := len(g.Events)
-	comp := make([]int, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	next := 0
-	var stack []int
-	for start := 0; start < n; start++ {
-		if comp[start] >= 0 {
-			continue
-		}
-		comp[start] = next
-		stack = append(stack[:0], start)
-		for len(stack) > 0 {
-			id := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, nb := range g.Succs(id) {
-				if comp[nb] < 0 {
-					comp[nb] = next
-					stack = append(stack, nb)
-				}
-			}
-			for _, nb := range g.Preds(id) {
-				if comp[nb] < 0 {
-					comp[nb] = next
-					stack = append(stack, nb)
-				}
-			}
-		}
-		next++
-	}
-	return comp, next
 }

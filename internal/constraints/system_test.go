@@ -270,7 +270,7 @@ func TestWeakComponents(t *testing.T) {
 	g.AddEdge(0, 1)
 	g.AddEdge(2, 1) // weakly connects 2 to {0,1}
 	g.AddEdge(3, 4)
-	comp, ncomp := weakComponents(g)
+	comp, ncomp := weakComponentsRange(g, 0, len(g.Events))
 	if comp[0] != comp[1] || comp[1] != comp[2] {
 		t.Errorf("0,1,2 should share a component: %v", comp)
 	}

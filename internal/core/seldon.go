@@ -141,46 +141,70 @@ func (r *Result) StageTime(name string) time.Duration {
 // registry, the stage log, and — when Config.Span is set — as a child
 // span of the run's trace.
 func (r *Result) runStage(cfg Config, name string, f func()) {
+	r.Stages = append(r.Stages, timeStage(cfg, name, f))
+}
+
+// timeStage runs f as one pipeline stage: a child span of Config.Span,
+// a timer observation, and a stage log line.
+func timeStage(cfg Config, name string, f func()) StageTiming {
 	sp := cfg.Span.StartChild(name)
 	t0 := time.Now()
 	f()
 	d := time.Since(t0)
 	sp.End()
-	r.Stages = append(r.Stages, StageTiming{Name: name, Duration: d})
 	cfg.Metrics.ObserveDuration(name, d)
 	cfg.Log.Log(name, "dur", d.Round(time.Microsecond))
+	return StageTiming{Name: name, Duration: d}
+}
+
+// BuildConstraints is the constraint stage every learn driver runs —
+// Learn, the shard coordinator and the incremental session. It builds
+// the system with constraints.BuildIncremental under Config.Constraints
+// (plus the run's metrics registry, and the front-end worker count when
+// no constraint worker count is set), reusing cache's blocks for the
+// file spans when both are given (nil spans and cache make it a full
+// build), and records the stage span, timer and log line.
+func BuildConstraints(g *propgraph.Graph, seed *spec.Spec, cfg Config,
+	spans []constraints.Span, cache *constraints.FlowCache) (*constraints.System, constraints.DeltaStats, StageTiming) {
+	opts := cfg.Constraints
+	opts.Metrics = cfg.Metrics
+	if opts.Workers == 0 {
+		opts.Workers = cfg.Workers
+	}
+	var sys *constraints.System
+	var st constraints.DeltaStats
+	stage := timeStage(cfg, obs.StageConstraints, func() {
+		sys, st = constraints.BuildIncremental(g, seed, opts, spans, cache)
+	})
+	if cache != nil {
+		cfg.Log.Log("constraints.reuse", "spans", st.Spans,
+			"reused", st.SpansReused, "rebuilt", st.SpansRebuilt)
+	}
+	return sys, st, stage
 }
 
 // Learn runs specification inference over a global propagation graph.
 func Learn(g *propgraph.Graph, seed *spec.Spec, cfg Config) *Result {
 	cfg = cfg.withDefaults()
 	start := time.Now()
+	sys, _, stage := BuildConstraints(g, seed, cfg, nil, nil)
 	res := &Result{
 		Graph:      g,
+		System:     sys,
+		Stages:     []StageTiming{stage},
 		EventRoles: make(map[int]propgraph.RoleSet),
 	}
-
-	copts := cfg.Constraints
-	copts.Metrics = cfg.Metrics
-	if copts.Workers == 0 {
-		copts.Workers = cfg.Workers
-	}
-	res.runStage(cfg, obs.StageConstraints, func() {
-		res.System = constraints.Build(g, seed, copts)
-	})
-
 	res.solveAndSelect(cfg, start)
 	return res
 }
 
 // LearnPrepared runs the solve + select half of the pipeline over an
-// already-built constraint system, skipping constraints.Build. It is the
-// entry point for callers that assemble the system some other way — the
-// incremental session (internal/incr) rebuilds only the constraint
-// blocks whose supporting files changed and hands the spliced system
-// here, typically with Config.Solver.WarmStart carrying the previous
-// solution. The result is identical to Learn on the same (graph, system)
-// pair.
+// already-built constraint system. It is the second half of every learn
+// driver that runs BuildConstraints itself — the shard coordinator, and
+// the incremental session, which pins
+// feedback variables between the two halves and warm-starts the solver
+// through Config.Solver.WarmStart. The result is identical to Learn on
+// the same (graph, system) pair.
 func LearnPrepared(g *propgraph.Graph, sys *constraints.System, cfg Config) *Result {
 	cfg = cfg.withDefaults()
 	start := time.Now()

@@ -133,23 +133,15 @@ func (c *Cache) entryPath(key string) string {
 
 // encode renders an entry in the on-disk format.
 func (e *Entry) encode() []byte {
-	buf := make([]byte, 0, 512)
-	buf = append(buf, magic...)
-	buf = binary.AppendUvarint(buf, codecVersion)
-	buf = binary.AppendVarint(buf, int64(e.Cost))
-	buf = binary.AppendUvarint(buf, uint64(len(e.ParseError)))
-	buf = append(buf, e.ParseError...)
-	buf = e.Graph.AppendBinary(buf)
-	sum := sha256.Sum256(buf)
-	return append(buf, sum[:]...)
+	return EncodeRawEntry(e.Graph.AppendBinary(nil), e.ParseError, e.Cost)
 }
 
 // EncodeRawEntry renders an entry in the on-disk format from an
-// already-encoded graph (propgraph binary bytes) instead of a live
-// Graph. It exists for shard-sidecar ingestion, where the coordinator
-// holds the worker's verified graph section bytes and re-encoding a
-// decoded graph would only burn CPU to produce the identical bytes (the
-// codec is deterministic).
+// already-encoded graph (propgraph binary bytes). It is the only entry
+// encoder: Put feeds it a live graph's encoding, and shard-sidecar
+// ingestion feeds it the worker's verified graph section bytes directly,
+// since re-encoding a decoded graph would only reproduce them (the codec
+// is deterministic).
 func EncodeRawEntry(graphEnc []byte, parseErr string, cost time.Duration) []byte {
 	buf := make([]byte, 0, len(magic)+2+16+len(parseErr)+len(graphEnc)+checksumSize)
 	buf = append(buf, magic...)
@@ -163,10 +155,10 @@ func EncodeRawEntry(graphEnc []byte, parseErr string, cost time.Duration) []byte
 }
 
 // PutRawKey stores pre-encoded entry bytes (EncodeRawEntry) under a raw
-// key (KeyBytes), atomically like Put. The caller vouches that data is a
-// well-formed entry for that key; a wrong claim costs nothing but a
-// wasted slot — Get re-validates the checksum and codec on read and
-// treats a bad entry as a miss.
+// key (KeyBytes) atomically: temp file in the cache directory, then
+// rename. The caller vouches that data is a well-formed entry for that
+// key; a wrong claim costs nothing but a wasted slot — Get re-validates
+// the checksum and codec on read and treats a bad entry as a miss.
 func (c *Cache) PutRawKey(key [sha256.Size]byte, data []byte) (int64, error) {
 	tmp, err := os.CreateTemp(c.dir, ".put-*")
 	if err != nil {
@@ -247,29 +239,10 @@ func (c *Cache) Get(name, content string) (*Entry, bool) {
 	return e, true
 }
 
-// Put stores the entry for (name, content) atomically (temp file +
-// rename) and returns the bytes written.
+// Put stores the entry for (name, content) atomically (see PutRawKey)
+// and returns the bytes written.
 func (c *Cache) Put(name, content string, e *Entry) (int64, error) {
-	data := e.encode()
-	tmp, err := os.CreateTemp(c.dir, ".put-*")
-	if err != nil {
-		return 0, fmt.Errorf("fpcache: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return 0, fmt.Errorf("fpcache: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return 0, fmt.Errorf("fpcache: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), c.entryPath(Key(name, content))); err != nil {
-		os.Remove(tmp.Name())
-		return 0, fmt.Errorf("fpcache: %w", err)
-	}
-	c.bytesWritten.Add(int64(len(data)))
-	return int64(len(data)), nil
+	return c.PutRawKey(KeyBytes(name, content), e.encode())
 }
 
 // Clear removes every cache entry (and any abandoned temp file) from

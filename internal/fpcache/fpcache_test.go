@@ -188,3 +188,30 @@ func TestOpenCreatesNestedDir(t *testing.T) {
 		t.Fatal("miss in freshly created nested dir")
 	}
 }
+
+// TestPutMatchesPutRawKey: Put and the sidecar path (PutRawKey over
+// EncodeRawEntry of the graph's encoding) write byte-identical files.
+func TestPutMatchesPutRawKey(t *testing.T) {
+	e := testEntry(t)
+	e.ParseError = "app.py:3:1: unexpected token"
+	put, raw := openTemp(t), openTemp(t)
+	if _, err := put.Put("app.py", testSrc, e); err != nil {
+		t.Fatal(err)
+	}
+	data := EncodeRawEntry(e.Graph.AppendBinary(nil), e.ParseError, e.Cost)
+	if _, err := raw.PutRawKey(KeyBytes("app.py", testSrc), data); err != nil {
+		t.Fatal(err)
+	}
+	name := Key("app.py", testSrc) + entrySuffix
+	a, err := os.ReadFile(filepath.Join(put.Dir(), name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(raw.Dir(), name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("Put wrote %d bytes, PutRawKey(EncodeRawEntry) %d; contents differ", len(a), len(b))
+	}
+}

@@ -10,9 +10,9 @@
 //   - rebuilds the disjoint union from the per-file graphs in sorted
 //     name order (cheap: an arena bulk-copy, byte-identical to what a
 //     from-scratch run produces),
-//   - runs the delta-aware constraint build (constraints.BuildIncremental),
-//     which reuses the cached flow-constraint block of every file whose
-//     support set is unchanged,
+//   - runs the pipeline's constraint stage (core.BuildConstraints) with
+//     the session's file spans and flow cache, reusing the cached
+//     flow-constraint block of every file whose support set is unchanged,
 //   - warm-starts projected Adam from the previous solution, translated
 //     across variable renumbering by (rep, role); new variables start
 //     cold and pinned variables are re-pinned on top,
@@ -299,12 +299,7 @@ func (s *Session) Relearn() (*core.Result, RelearnStats) {
 		at = spans[i].Hi
 	}
 	union := propgraph.Union(graphs...)
-	copts := s.cfg.Constraints
-	copts.Metrics = s.cfg.Metrics
-	if copts.Workers == 0 {
-		copts.Workers = s.cfg.Workers
-	}
-	sys, delta := constraints.BuildIncremental(union, s.seed, copts, spans, s.cache)
+	sys, delta, stage := core.BuildConstraints(union, s.seed, s.cfg, spans, s.cache)
 	st.Delta = delta
 
 	// Feedback pins become hard constraints. A pin whose representation
@@ -341,6 +336,7 @@ func (s *Session) Relearn() (*core.Result, RelearnStats) {
 		st.WarmStarted = true
 	}
 	res := core.LearnPrepared(union, sys, cfg)
+	res.Stages = append([]core.StageTiming{stage}, res.Stages...)
 	s.cfg.Metrics.ObserveDuration(obs.StageIncrResolve, time.Since(t0))
 
 	// Record the solution for the next warm start and the epoch baseline.

@@ -101,10 +101,8 @@ const (
 	// corpus and the artifact bytes ingested.
 	StageShardAnalyze = "stage.shard.analyze"
 	StageShardEncode  = "stage.shard.encode"
-	// StageShardDecode timed the whole-buffer artifact decode; the
-	// streaming ingestion path observes StageShardStream instead (one
-	// sample per artifact streamed through shard.NewReader).
-	StageShardDecode = "stage.shard.decode"
+	// StageShardStream times each artifact streamed through the
+	// coordinator's decoder (shard.ReadArtifact).
 	StageShardStream = "stage.shard.stream"
 	// StageShardExec is the coordinator's whole local fan-out: spawn N
 	// seldon-shard subprocesses, wait, decode their artifacts.

@@ -1,19 +1,22 @@
 package propgraph
 
-// UnionBuilder is the incremental form of Union: graphs are appended one
-// at a time and the running disjoint union is available at every step.
-// It exists for streaming consumers — a coordinator folding shard slices
-// into the global graph as each one arrives — where Union's
-// all-inputs-up-front contract would force a barrier.
+// UnionBuilder computes a disjoint union one input at a time, and the
+// running union is available after every Add. Union is a loop over it;
+// streaming consumers (a coordinator folding shard slices into the global
+// graph as each one arrives) use it directly.
 //
-// Equivalence contract: after Add(g1), Add(g2), ..., Add(gN) the built
-// graph is byte-identical (AppendBinary) to Union(g1, ..., gN). Symbols
-// are remapped through the same first-seen TranslateFrom order, event
-// IDs are offset by the running total, and predecessor lists are filled
-// in ascending-source order — edges never cross inputs in a disjoint
-// union, so per-input filling produces the same order Union's global
-// pass does. The only difference is allocation: Union carves one arena
-// per field from exact totals, the builder carves one per Add.
+// Symbols are remapped from each input's table into the union's global
+// table through a per-input translation array (each distinct string is
+// hashed once per input, occurrences are pure integer indexing), and the
+// global IDs are assigned in first-seen order over the inputs — so a
+// sorted input order yields a deterministic global table.
+//
+// Adjacency is bulk-copied: the inputs are well-formed graphs (edges
+// deduplicated, no self-loops) and the union is disjoint, so the per-edge
+// AddEdge duplicate scans are unnecessary. Each Add carves the input's
+// events, symbol lists and adjacency from one arena per field, and fills
+// predecessor lists in ascending-source order — the order an
+// AddEdge-based union produces — so the result is byte-identical to it.
 type UnionBuilder struct {
 	g *Graph
 }

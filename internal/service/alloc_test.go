@@ -78,7 +78,7 @@ func TestCheckAllocBudgets(t *testing.T) {
 		avg := testing.AllocsPerRun(200, func() {
 			rec := httptest.NewRecorder()
 			root := s.cfg.Tracer.StartRootFrom("http.check", "")
-			span := s.cfg.Metrics.Start(TimerCheck)
+			span := s.startCheck()
 			s.followFlight(rec, ctx, root, span, "request.py", f)
 			root.End()
 			if rec.Code != http.StatusOK {

@@ -72,7 +72,7 @@ func BenchmarkCheckHandler(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			rec := httptest.NewRecorder()
 			root := s.cfg.Tracer.StartRootFrom("http.check", "")
-			span := s.cfg.Metrics.Start(TimerCheck)
+			span := s.startCheck()
 			s.followFlight(rec, ctx, root, span, "request.py", f)
 			root.End()
 			if rec.Code != http.StatusOK {

@@ -112,7 +112,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, "check", http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	span := s.cfg.Metrics.Start(TimerCheck)
+	span := s.startCheck()
 
 	adm := root.StartChild("admission")
 	bufp := s.getBuf()
@@ -233,11 +233,29 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// checkTimer times one /v1/check request. It feeds the check latency
+// timer when a metrics registry is configured and measures the
+// response's elapsed_ms with or without one.
+type checkTimer struct {
+	span obs.Span
+	t0   time.Time
+}
+
+func (s *Server) startCheck() checkTimer {
+	return checkTimer{span: s.cfg.Metrics.Start(TimerCheck), t0: time.Now()}
+}
+
+// End records the latency observation and returns the elapsed time.
+func (c checkTimer) End() time.Duration {
+	c.span.End()
+	return time.Since(c.t0)
+}
+
 // followFlight rides an in-flight identical analysis: the follower
 // holds no worker slot, keeps its own deadline, and fails exactly like
 // its leader when the leader could not be admitted.
 func (s *Server) followFlight(w http.ResponseWriter, ctx context.Context,
-	root *trace.Span, span obs.Span, name string, f *flight) {
+	root *trace.Span, span checkTimer, name string, f *flight) {
 	s.coalesced.Add(1)
 	s.cfg.Metrics.Add(obs.CounterCheckCoalesced, 1)
 	root.SetAttr("coalesced", true)
@@ -284,7 +302,7 @@ func (s *Server) resolveFlight(key checkcache.Key, fl *flight, res *checkResult,
 // respondCheck writes one 200: the cached core encoding with
 // `,"elapsed_ms":…,"trace_id":"…"` spliced before the closing brace —
 // byte-for-byte what marshaling the full CheckResponse would produce.
-func (s *Server) respondCheck(w http.ResponseWriter, root *trace.Span, span obs.Span, core []byte) {
+func (s *Server) respondCheck(w http.ResponseWriter, root *trace.Span, span checkTimer, core []byte) {
 	enc := root.StartChild("encode")
 	elapsed := float64(span.End()) / float64(time.Millisecond)
 	bufp := s.getBuf()

@@ -457,3 +457,21 @@ def media2():
 		t.Errorf("dedupe left %d findings", len(out.Findings))
 	}
 }
+
+// TestCheckElapsedWithoutMetrics: elapsed_ms is measured per request,
+// not read back from the metrics registry, so a server without one
+// still reports it — on the analysis path and on a cache hit.
+func TestCheckElapsedWithoutMetrics(t *testing.T) {
+	s := New(Config{Spec: testSpec()})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	for _, path := range []string{"analysis", "cache hit"} {
+		resp, out := postCheck(t, ts.URL, taintedSrc)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status = %d", path, resp.StatusCode)
+		}
+		if out.ElapsedMS <= 0 {
+			t.Errorf("%s: elapsed_ms = %v with Metrics nil, want > 0", path, out.ElapsedMS)
+		}
+	}
+}

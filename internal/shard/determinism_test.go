@@ -31,7 +31,7 @@ func TestMergeDeterminism(t *testing.T) {
 			a := buildSlice(t, files, i, n)
 			// Round-trip through the wire format so the test covers what a
 			// coordinator actually sees, not in-process structs.
-			decoded, err := Decode(a.Encode())
+			decoded, err := decode(a.Encode())
 			if err != nil {
 				t.Fatalf("n=%d slice %d: round-trip: %v", n, i, err)
 			}
@@ -39,7 +39,7 @@ func TestMergeDeterminism(t *testing.T) {
 		}
 		rng.Shuffle(n, func(i, j int) { arts[i], arts[j] = arts[j], arts[i] })
 
-		res, err := Merge(arts, MergeOptions{})
+		res, err := mergeAll(arts)
 		if err != nil {
 			t.Fatalf("n=%d: Merge: %v", n, err)
 		}
@@ -73,9 +73,9 @@ func TestMergeLearnsIdentically(t *testing.T) {
 	for i := range arts {
 		arts[i] = buildSlice(t, files, i, 3)
 	}
-	res, err := Merge([]*Artifact{arts[2], arts[0], arts[1]}, MergeOptions{})
+	res, err := mergeAll([]*Artifact{arts[2], arts[0], arts[1]})
 	if err != nil {
-		t.Fatalf("Merge: %v", err)
+		t.Fatalf("merge: %v", err)
 	}
 	dist := core.Learn(res.Graph, seed, cfg)
 
@@ -99,9 +99,9 @@ func TestMergeParseErrors(t *testing.T) {
 	}
 
 	arts := []*Artifact{buildSlice(t, files, 0, 2), buildSlice(t, files, 1, 2)}
-	res, err := Merge(arts, MergeOptions{})
+	res, err := mergeAll(arts)
 	if err != nil {
-		t.Fatalf("Merge: %v", err)
+		t.Fatalf("merge: %v", err)
 	}
 	if res.ParseErrors != len(fe.ParseErrorFiles) {
 		t.Errorf("merge reports %d parse errors, single-process reports %d",

@@ -18,15 +18,15 @@ import (
 // learning from a corpus with a hole in it would silently skew the
 // frequencies the whole inference rests on.
 //
-// The Merger is the streaming form: artifacts are committed one at a
-// time, in any arrival order, and each contiguous prefix of slices is
-// folded into the running union the moment it completes — slice i's
-// graph is released before slice i+1's artifact need even exist. The
-// union still replays slice-index order through the same first-seen
-// symbol translation (propgraph.UnionBuilder ≡ propgraph.Union), so the
-// result is byte-identical to the barrier merge at any shard count and
-// any arrival order; out-of-order arrivals are parked and the peak
-// parked+folding footprint is reported (shard.merge.peak_bytes).
+// The Merger streams: artifacts are committed one at a time, in any
+// arrival order, and each contiguous prefix of slices is folded into the
+// running union the moment it completes — slice i's graph is released
+// before slice i+1's artifact need even exist. The union replays
+// slice-index order through propgraph.UnionBuilder (the same builder
+// propgraph.Union loops over), so the result is byte-identical to a
+// single-process union at any shard count and any arrival order;
+// out-of-order arrivals are parked and the peak parked+folding footprint
+// is reported (shard.merge.peak_bytes).
 
 // MergeOptions configures telemetry for a merge.
 type MergeOptions struct {
@@ -114,8 +114,8 @@ func NewMerger(opts MergeOptions) *Merger {
 
 // Commit validates one artifact against the partitioning seen so far
 // and folds it — plus any parked successors it unblocks — into the
-// union. The artifact's graph must already be checksum-settled (Decode,
-// ReadArtifact, and ReadFile only return settled artifacts). Errors are
+// union. The artifact's graph must already be checksum-settled
+// (ReadArtifact and ReadFile only return settled artifacts). Errors are
 // the package's named sentinels; any error poisons the merge.
 func (m *Merger) Commit(a *Artifact) error {
 	t0 := time.Now()
@@ -231,20 +231,4 @@ func (m *Merger) Finish() (*MergeResult, error) {
 	m.opts.Metrics.Set(obs.GaugeShardSlices, float64(m.count))
 	m.opts.Metrics.Set(obs.GaugeShardMergePeakBytes, float64(res.PeakBytes))
 	return res, nil
-}
-
-// Merge validates arts as a complete partitioning and merges them.
-// Artifact order does not matter — slices are reassembled by index —
-// but the set must be exactly one artifact per slice, all cut from the
-// same corpus ordering by the same analyzer version. Any violation is
-// one of the package's named errors. Merge is the barrier convenience
-// over Merger; the streaming coordinator commits as artifacts arrive.
-func Merge(arts []*Artifact, opts MergeOptions) (*MergeResult, error) {
-	m := NewMerger(opts)
-	for _, a := range arts {
-		if err := m.Commit(a); err != nil {
-			return nil, err
-		}
-	}
-	return m.Finish()
 }

@@ -50,7 +50,6 @@ package shard
 
 import (
 	"bufio"
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -225,61 +224,6 @@ func (a *Artifact) Encode() []byte {
 	out = append(out, payload...)
 	sum := sha256.Sum256(out)
 	return append(out, sum[:]...)
-}
-
-// verifyEnvelope checks the whole-buffer framing invariants — magic,
-// codec version, declared length vs bytes in hand, trailing bytes, and
-// the checksum — before any payload parsing, preserving the sentinel
-// priorities of whole-buffer decoding (a flipped payload byte is
-// ErrChecksum, never a parse error).
-func verifyEnvelope(data []byte) error {
-	if len(data) < len(magic) {
-		return fmt.Errorf("%w: %d bytes, shorter than the magic", ErrTruncated, len(data))
-	}
-	if string(data[:len(magic)]) != magic {
-		return fmt.Errorf("%w: %q", ErrMagic, data[:len(magic)])
-	}
-	if len(data) < headerMin {
-		return fmt.Errorf("%w: %d bytes, header incomplete", ErrTruncated, len(data))
-	}
-	if v := data[len(magic)]; v != codecVersion {
-		return fmt.Errorf("%w: got %d, want %d", ErrCodecVersion, v, codecVersion)
-	}
-	rest := data[len(magic)+1:]
-	payloadLen, n := binary.Uvarint(rest)
-	if n == 0 {
-		return fmt.Errorf("%w: header length field incomplete", ErrTruncated)
-	}
-	// Guard only against overflow-scale lengths here; a declared length
-	// that merely exceeds the bytes in hand is truncation, caught below.
-	if n < 0 || payloadLen > maxPayloadLen {
-		return fmt.Errorf("%w: implausible payload length %d", ErrEncoding, payloadLen)
-	}
-	headerLen := len(magic) + 1 + n
-	total := headerLen + int(payloadLen) + checksumSize
-	if len(data) < total {
-		return fmt.Errorf("%w: have %d bytes, envelope declares %d", ErrTruncated, len(data), total)
-	}
-	if len(data) > total {
-		return fmt.Errorf("%w: %d extra bytes", ErrTrailing, len(data)-total)
-	}
-	body, sum := data[:total-checksumSize], data[total-checksumSize:]
-	if want := sha256.Sum256(body); string(want[:]) != string(sum) {
-		return ErrChecksum
-	}
-	return nil
-}
-
-// Decode parses one artifact occupying the whole of data. Every failure
-// mode maps to one of the package's named errors; a partial artifact is
-// never returned. The envelope framing and checksum are verified before
-// the payload is parsed, then the same streaming section reader the
-// pipe/file paths use consumes the buffer.
-func Decode(data []byte) (*Artifact, error) {
-	if err := verifyEnvelope(data); err != nil {
-		return nil, err
-	}
-	return ReadArtifact(bytes.NewReader(data), ReadOptions{})
 }
 
 // ReadFile streams one artifact from path through the incremental

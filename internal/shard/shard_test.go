@@ -13,8 +13,26 @@ import (
 	"seldon/internal/propgraph"
 )
 
+// decode reads one artifact occupying the whole of data through the
+// streaming reader, the only decoder the coordinator has.
+func decode(data []byte) (*Artifact, error) {
+	return ReadArtifact(bytes.NewReader(data), ReadOptions{})
+}
+
+// mergeAll commits arts to a fresh Merger in the given order and
+// finishes it, returning the first error.
+func mergeAll(arts []*Artifact) (*MergeResult, error) {
+	m := NewMerger(MergeOptions{})
+	for _, a := range arts {
+		if err := m.Commit(a); err != nil {
+			return nil, err
+		}
+	}
+	return m.Finish()
+}
+
 // buildSlice analyzes slice i of n of a small synthetic corpus.
-func buildSlice(t *testing.T, files map[string]string, i, n int) *Artifact {
+func buildSlice(t testing.TB, files map[string]string, i, n int) *Artifact {
 	t.Helper()
 	a, _, err := BuildFromCorpus(files, i, n, core.Config{Workers: 1})
 	if err != nil {
@@ -23,7 +41,7 @@ func buildSlice(t *testing.T, files map[string]string, i, n int) *Artifact {
 	return a
 }
 
-func testFiles(t *testing.T, n int) map[string]string {
+func testFiles(t testing.TB, n int) map[string]string {
 	t.Helper()
 	return corpus.Generate(corpus.Config{Files: n}).FileMap()
 }
@@ -33,9 +51,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	want := buildSlice(t, files, 1, 3)
 	data := want.Encode()
 
-	got, err := Decode(data)
+	got, err := decode(data)
 	if err != nil {
-		t.Fatalf("Decode: %v", err)
+		t.Fatalf("decode: %v", err)
 	}
 	if got.AnalyzerVersion != want.AnalyzerVersion {
 		t.Errorf("analyzer version %q, want %q", got.AnalyzerVersion, want.AnalyzerVersion)
@@ -92,22 +110,22 @@ func TestWriteFileReadFile(t *testing.T) {
 	}
 }
 
-// TestDecodeFaults checks that every way an artifact can be damaged in
-// transit maps to its own named error — never a silent skip, never the
-// wrong sentinel.
-func TestDecodeFaults(t *testing.T) {
-	files := testFiles(t, 12)
-	good := buildSlice(t, files, 0, 1).Encode()
+// faultCase is one damaged input and the sentinel decoding must report.
+type faultCase struct {
+	name string
+	data []byte
+	want error
+}
 
+// decodeFaultCases damages a well-formed artifact in every way a
+// transfer can: truncation at each layer, bad magic, a stale codec,
+// flipped bytes, and trailing garbage.
+func decodeFaultCases(good []byte) []faultCase {
 	corrupt := func(mutate func([]byte) []byte) []byte {
 		data := append([]byte(nil), good...)
 		return mutate(data)
 	}
-	tests := []struct {
-		name string
-		data []byte
-		want error
-	}{
+	return []faultCase{
 		{"empty", nil, ErrTruncated},
 		{"shorter than magic", corrupt(func(d []byte) []byte { return d[:2] }), ErrTruncated},
 		{"header cut", corrupt(func(d []byte) []byte { return d[:5] }), ErrTruncated},
@@ -119,47 +137,56 @@ func TestDecodeFaults(t *testing.T) {
 		{"flipped checksum byte", corrupt(func(d []byte) []byte { d[len(d)-1] ^= 0x01; return d }), ErrChecksum},
 		{"trailing bytes", corrupt(func(d []byte) []byte { return append(d, 0xEE) }), ErrTrailing},
 	}
-	for _, tc := range tests {
+}
+
+// badPayloadCases are checksum-valid artifacts whose payload does not
+// parse: a buggy or adversarial encoder, not line noise.
+func badPayloadCases() []faultCase {
+	out := func(a *Artifact) []byte { return a.Encode() }
+	empty := propgraph.New()
+	return []faultCase{
+		{"slice out of range", out(&Artifact{AnalyzerVersion: "v", Slice: 5, Slices: 2, Graph: empty}), ErrEncoding},
+		{"zero slices", out(&Artifact{AnalyzerVersion: "v", Slice: 0, Slices: 0, Graph: empty}), ErrEncoding},
+		{"unsorted manifest", out(&Artifact{
+			AnalyzerVersion: "v", Slice: 0, Slices: 1,
+			Files:      []FileMeta{{Name: "b.py"}, {Name: "a.py"}},
+			FileGraphs: []*propgraph.Graph{empty, empty},
+			Graph:      empty,
+		}), ErrEncoding},
+		{"duplicate manifest name", out(&Artifact{
+			AnalyzerVersion: "v", Slice: 0, Slices: 1,
+			Files:      []FileMeta{{Name: "a.py"}, {Name: "a.py"}},
+			FileGraphs: []*propgraph.Graph{empty, empty},
+			Graph:      empty,
+		}), ErrEncoding},
+	}
+}
+
+// TestDecodeFaults checks that every way an artifact can be damaged in
+// transit maps to its own named error — never a silent skip, never the
+// wrong sentinel.
+func TestDecodeFaults(t *testing.T) {
+	good := buildSlice(t, testFiles(t, 12), 0, 1).Encode()
+	for _, tc := range decodeFaultCases(good) {
 		t.Run(tc.name, func(t *testing.T) {
-			a, err := Decode(tc.data)
+			a, err := decode(tc.data)
 			if a != nil {
 				t.Fatal("damaged artifact decoded to a non-nil result")
 			}
 			if !errors.Is(err, tc.want) {
-				t.Fatalf("Decode = %v, want %v", err, tc.want)
+				t.Fatalf("decode = %v, want %v", err, tc.want)
 			}
 		})
 	}
 }
 
 // TestDecodeBadPayload covers the checksum-holds-but-payload-is-garbage
-// class: a buggy or adversarial encoder, not line noise.
+// class.
 func TestDecodeBadPayload(t *testing.T) {
-	out := func(a *Artifact) []byte { return a.Encode() }
-	empty := propgraph.New()
-	tests := []struct {
-		name string
-		data []byte
-	}{
-		{"slice out of range", out(&Artifact{AnalyzerVersion: "v", Slice: 5, Slices: 2, Graph: empty})},
-		{"zero slices", out(&Artifact{AnalyzerVersion: "v", Slice: 0, Slices: 0, Graph: empty})},
-		{"unsorted manifest", out(&Artifact{
-			AnalyzerVersion: "v", Slice: 0, Slices: 1,
-			Files:      []FileMeta{{Name: "b.py"}, {Name: "a.py"}},
-			FileGraphs: []*propgraph.Graph{empty, empty},
-			Graph:      empty,
-		})},
-		{"duplicate manifest name", out(&Artifact{
-			AnalyzerVersion: "v", Slice: 0, Slices: 1,
-			Files:      []FileMeta{{Name: "a.py"}, {Name: "a.py"}},
-			FileGraphs: []*propgraph.Graph{empty, empty},
-			Graph:      empty,
-		})},
-	}
-	for _, tc := range tests {
+	for _, tc := range badPayloadCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Decode(tc.data); !errors.Is(err, ErrEncoding) {
-				t.Fatalf("Decode = %v, want ErrEncoding", err)
+			if _, err := decode(tc.data); !errors.Is(err, tc.want) {
+				t.Fatalf("decode = %v, want %v", err, tc.want)
 			}
 		})
 	}
@@ -173,31 +200,31 @@ func TestMergeFaults(t *testing.T) {
 	a1 := buildSlice(t, files, 1, 2)
 
 	t.Run("duplicate slice", func(t *testing.T) {
-		if _, err := Merge([]*Artifact{a0, a0}, MergeOptions{}); !errors.Is(err, ErrDuplicateSlice) {
-			t.Fatalf("Merge = %v, want ErrDuplicateSlice", err)
+		if _, err := mergeAll([]*Artifact{a0, a0}); !errors.Is(err, ErrDuplicateSlice) {
+			t.Fatalf("merge = %v, want ErrDuplicateSlice", err)
 		}
 	})
 	t.Run("missing slice", func(t *testing.T) {
-		if _, err := Merge([]*Artifact{a0}, MergeOptions{}); !errors.Is(err, ErrMissingSlice) {
-			t.Fatalf("Merge = %v, want ErrMissingSlice", err)
+		if _, err := mergeAll([]*Artifact{a0}); !errors.Is(err, ErrMissingSlice) {
+			t.Fatalf("merge = %v, want ErrMissingSlice", err)
 		}
 	})
 	t.Run("no artifacts", func(t *testing.T) {
-		if _, err := Merge(nil, MergeOptions{}); !errors.Is(err, ErrMissingSlice) {
-			t.Fatalf("Merge = %v, want ErrMissingSlice", err)
+		if _, err := mergeAll(nil); !errors.Is(err, ErrMissingSlice) {
+			t.Fatalf("merge = %v, want ErrMissingSlice", err)
 		}
 	})
 	t.Run("slice count mismatch", func(t *testing.T) {
 		b0 := buildSlice(t, files, 0, 3)
-		if _, err := Merge([]*Artifact{a0, b0}, MergeOptions{}); !errors.Is(err, ErrSliceCount) {
-			t.Fatalf("Merge = %v, want ErrSliceCount", err)
+		if _, err := mergeAll([]*Artifact{a0, b0}); !errors.Is(err, ErrSliceCount) {
+			t.Fatalf("merge = %v, want ErrSliceCount", err)
 		}
 	})
 	t.Run("analyzer version mismatch", func(t *testing.T) {
 		stale := *a1
 		stale.AnalyzerVersion = "seldon-frontend-v0"
-		if _, err := Merge([]*Artifact{a0, &stale}, MergeOptions{}); !errors.Is(err, ErrAnalyzerVersion) {
-			t.Fatalf("Merge = %v, want ErrAnalyzerVersion", err)
+		if _, err := mergeAll([]*Artifact{a0, &stale}); !errors.Is(err, ErrAnalyzerVersion) {
+			t.Fatalf("merge = %v, want ErrAnalyzerVersion", err)
 		}
 	})
 	t.Run("slice order violation", func(t *testing.T) {
@@ -205,14 +232,14 @@ func TestMergeFaults(t *testing.T) {
 		// but their concatenation in "slice order" is not.
 		x0, x1 := *a0, *a1
 		x0.Slice, x1.Slice = 1, 0
-		if _, err := Merge([]*Artifact{&x0, &x1}, MergeOptions{}); !errors.Is(err, ErrSliceOrder) {
-			t.Fatalf("Merge = %v, want ErrSliceOrder", err)
+		if _, err := mergeAll([]*Artifact{&x0, &x1}); !errors.Is(err, ErrSliceOrder) {
+			t.Fatalf("merge = %v, want ErrSliceOrder", err)
 		}
 	})
 	t.Run("valid set still merges", func(t *testing.T) {
-		res, err := Merge([]*Artifact{a1, a0}, MergeOptions{}) // arrival order irrelevant
+		res, err := mergeAll([]*Artifact{a1, a0}) // arrival order irrelevant
 		if err != nil {
-			t.Fatalf("Merge: %v", err)
+			t.Fatalf("merge: %v", err)
 		}
 		if len(res.Files) != len(files) {
 			t.Errorf("merged %d files, want %d", len(res.Files), len(files))

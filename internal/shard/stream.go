@@ -53,15 +53,15 @@ type FileSection struct {
 // contract; so does the coordinator, which commits a slice to the merge
 // only after Finish.
 //
-// Sentinel fidelity with whole-buffer Decode: when the payload fails to
-// parse mid-stream the reader cannot yet tell corruption (ErrChecksum)
-// from an encoder bug (ErrEncoding) — a flipped length byte produces
-// both a parse failure and a checksum mismatch. It therefore drains the
-// rest of the declared payload, reads the trailer, and reports
-// ErrChecksum if the running hash disagrees, ErrEncoding if it holds
-// (and ErrTruncated if the input ends first) — the same verdicts Decode
-// reaches by checking the checksum up front. All errors are terminal:
-// the first failure latches and every later call returns it.
+// Sentinel resolution: when the payload fails to parse mid-stream the
+// reader cannot yet tell corruption (ErrChecksum) from an encoder bug
+// (ErrEncoding) — a flipped length byte produces both a parse failure
+// and a checksum mismatch. It therefore drains the rest of the declared
+// payload, reads the trailer, and reports ErrChecksum if the running
+// hash disagrees, ErrEncoding if it holds (and ErrTruncated if the input
+// ends first) — so damaged bytes are always ErrChecksum, exactly as if
+// the checksum had been verified up front. All errors are terminal: the
+// first failure latches and every later call returns it.
 type Reader struct {
 	src io.Reader
 	sum hash.Hash
@@ -136,20 +136,36 @@ func (r *Reader) puvarint(what string) (uint64, error) {
 	return 0, r.fault("%s is not a varint", what)
 }
 
+// maxUpfront caps what pbytes allocates before the bytes arrive.
+const maxUpfront = 1 << 20
+
+// pbytes reads an n-byte payload field into a fresh slice. Fields up to
+// maxUpfront are allocated whole; longer ones grow as their bytes are
+// read, so a corrupt length cannot allocate far beyond the input that is
+// actually there.
+func (r *Reader) pbytes(n uint64, what string) ([]byte, error) {
+	if n > r.left {
+		return nil, r.fault("%s overruns payload (%d bytes declared, %d left)", what, n, r.left)
+	}
+	buf := make([]byte, 0, min(n, maxUpfront))
+	for uint64(len(buf)) < n {
+		at := len(buf)
+		buf = append(buf, make([]byte, min(n-uint64(at), maxUpfront))...)
+		if err := r.pread(buf[at:], what); err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
+}
+
 // pstring reads one length-prefixed string from the payload.
 func (r *Reader) pstring(what string) (string, error) {
 	n, err := r.puvarint(what + " length")
 	if err != nil {
 		return "", err
 	}
-	if n > r.left {
-		return "", r.fault("%s overruns payload (%d bytes declared, %d left)", what, n, r.left)
-	}
-	buf := make([]byte, n)
-	if err := r.pread(buf, what); err != nil {
-		return "", err
-	}
-	return string(buf), nil
+	buf, err := r.pbytes(n, what)
+	return string(buf), err
 }
 
 // fault records a payload parse failure, then resolves its sentinel by
@@ -315,13 +331,10 @@ func (r *Reader) Next() (*FileSection, error) {
 	if err != nil {
 		return nil, err
 	}
-	if graphLen > r.left {
-		return nil, r.fault("graph section overruns payload (%d bytes declared, %d left)", graphLen, r.left)
-	}
 	// A fresh buffer per section: the decoded graph and Enc stay valid
 	// for the caller while peak memory remains one section.
-	enc := make([]byte, graphLen)
-	if err := r.pread(enc, "graph section"); err != nil {
+	enc, err := r.pbytes(graphLen, "graph section")
+	if err != nil {
 		return nil, err
 	}
 	g, tail, err := propgraph.DecodeBinary(enc)
@@ -407,10 +420,13 @@ func ReadArtifact(src io.Reader, opts ReadOptions) (*Artifact, error) {
 		Slice:           hdr.Slice,
 		Slices:          hdr.Slices,
 		Sidecar:         hdr.Sidecar,
-		Files:           make([]FileMeta, 0, hdr.NumFiles),
-		FileHashes:      make([][32]byte, 0, hdr.NumFiles),
-		FileEvents:      make([]int, 0, hdr.NumFiles),
 	}
+	// The declared count is bounded only by the declared payload length,
+	// so it sizes nothing until the sections actually arrive.
+	n := min(hdr.NumFiles, 1024)
+	a.Files = make([]FileMeta, 0, n)
+	a.FileHashes = make([][32]byte, 0, n)
+	a.FileEvents = make([]int, 0, n)
 	type staged struct {
 		key  [32]byte
 		data []byte

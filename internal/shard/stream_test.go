@@ -3,10 +3,12 @@ package shard
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"seldon/internal/core"
@@ -20,7 +22,7 @@ import (
 // sectionBoundaries walks a well-formed artifact with the streaming
 // reader and records the byte offset after the header and after each
 // file section — the exact places a transfer can die between sections.
-func sectionBoundaries(t *testing.T, data []byte) []int64 {
+func sectionBoundaries(t testing.TB, data []byte) []int64 {
 	t.Helper()
 	r := NewReader(bytes.NewReader(data))
 	if _, err := r.Header(); err != nil {
@@ -43,16 +45,11 @@ func sectionBoundaries(t *testing.T, data []byte) []int64 {
 	return offs
 }
 
-// streamDecode runs the full streaming path over a byte stream.
-func streamDecode(data []byte) (*Artifact, error) {
-	return ReadArtifact(bytes.NewReader(data), ReadOptions{})
-}
-
 // TestStreamReaderFaults extends the decode fault matrix to the
 // streaming reader: truncation at every section boundary (and inside a
 // section), a bit flip inside a graph section, and trailing bytes after
-// the sha256 trailer — each mapping to the same sentinel the
-// whole-buffer decoder reports.
+// the sha256 trailer — each mapping to the sentinel TestDecodeFaults
+// pins for the same damage class.
 func TestStreamReaderFaults(t *testing.T) {
 	files := testFiles(t, 12)
 	art := buildSlice(t, files, 0, 1)
@@ -64,7 +61,7 @@ func TestStreamReaderFaults(t *testing.T) {
 
 	t.Run("truncation at every section boundary", func(t *testing.T) {
 		for i, off := range offs {
-			if _, err := streamDecode(good[:off]); !errors.Is(err, ErrTruncated) {
+			if _, err := decode(good[:off]); !errors.Is(err, ErrTruncated) {
 				t.Errorf("cut at boundary %d (offset %d): %v, want ErrTruncated", i, off, err)
 			}
 		}
@@ -72,13 +69,13 @@ func TestStreamReaderFaults(t *testing.T) {
 	t.Run("truncation inside a section", func(t *testing.T) {
 		for i := 1; i < len(offs); i++ {
 			off := offs[i] - 3 // inside section i-1's graph bytes
-			if _, err := streamDecode(good[:off]); !errors.Is(err, ErrTruncated) {
+			if _, err := decode(good[:off]); !errors.Is(err, ErrTruncated) {
 				t.Errorf("cut inside section %d (offset %d): %v, want ErrTruncated", i-1, off, err)
 			}
 		}
 	})
 	t.Run("truncation inside the trailer", func(t *testing.T) {
-		if _, err := streamDecode(good[:len(good)-1]); !errors.Is(err, ErrTruncated) {
+		if _, err := decode(good[:len(good)-1]); !errors.Is(err, ErrTruncated) {
 			t.Errorf("cut trailer: want ErrTruncated")
 		}
 	})
@@ -89,7 +86,7 @@ func TestStreamReaderFaults(t *testing.T) {
 		for i := 1; i < len(offs); i++ {
 			data := append([]byte(nil), good...)
 			data[offs[i]-2] ^= 0x40
-			a, err := streamDecode(data)
+			a, err := decode(data)
 			if a != nil {
 				t.Fatalf("section %d: damaged artifact decoded to a non-nil result", i-1)
 			}
@@ -99,16 +96,16 @@ func TestStreamReaderFaults(t *testing.T) {
 		}
 	})
 	t.Run("trailing bytes after the trailer", func(t *testing.T) {
-		if _, err := streamDecode(append(append([]byte(nil), good...), 0xEE)); !errors.Is(err, ErrTrailing) {
+		if _, err := decode(append(append([]byte(nil), good...), 0xEE)); !errors.Is(err, ErrTrailing) {
 			t.Error("trailing byte: want ErrTrailing")
 		}
 	})
 	t.Run("sections survive until checksum settles", func(t *testing.T) {
 		// The success path of the same walk: every section the reader
 		// yields carries the bytes whose hashes the merge will span on.
-		a, err := streamDecode(good)
+		a, err := decode(good)
 		if err != nil {
-			t.Fatalf("streamDecode(good): %v", err)
+			t.Fatalf("decode(good): %v", err)
 		}
 		if len(a.Files) != len(files) || len(a.FileHashes) != len(files) {
 			t.Fatalf("decoded %d files / %d hashes, want %d", len(a.Files), len(a.FileHashes), len(files))
@@ -146,7 +143,7 @@ func TestStreamingMergeDeterminism(t *testing.T) {
 		m := NewMerger(MergeOptions{})
 		var total int64
 		for _, i := range order {
-			a, err := streamDecode(buildSlice(t, files, i, n).Encode())
+			a, err := decode(buildSlice(t, files, i, n).Encode())
 			if err != nil {
 				t.Fatalf("n=%d slice %d: stream decode: %v", n, i, err)
 			}
@@ -249,5 +246,51 @@ func TestSidecarIngest(t *testing.T) {
 	}
 	if n, _ := cache2.Len(); n != 0 {
 		t.Fatalf("corrupt artifact ingested %d cache entries, want 0", n)
+	}
+}
+
+// hugeLengthCases are short inputs whose length fields declare far more
+// bytes (or sections) than follow: each must fail as truncation after a
+// bounded allocation, not size a buffer from the declared value.
+func hugeLengthCases() []faultCase {
+	hdr := func(rest ...uint64) []byte {
+		b := binary.AppendUvarint([]byte(magic+"\x02"), maxPayloadLen)
+		for _, v := range rest {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
+	// analyzer version "v", slice 0 of 1, no flags; then the file count.
+	preamble := func(files uint64) []byte {
+		b := append(hdr(1), 'v')
+		b = binary.AppendUvarint(b, 0)
+		b = binary.AppendUvarint(b, 1)
+		b = append(b, 0)
+		return binary.AppendUvarint(b, files)
+	}
+	section := append(preamble(1), 4, 'a', '.', 'p', 'y')
+	section = append(section, make([]byte, 32)...) // content hash
+	section = append(section, 0)                   // no parse error
+	return []faultCase{
+		{"huge string length", hdr(1 << 38), ErrTruncated},
+		{"huge file count", preamble(1 << 38), ErrTruncated},
+		{"huge graph length", binary.AppendUvarint(section, 1<<38), ErrTruncated},
+	}
+}
+
+func TestReaderBoundsAllocation(t *testing.T) {
+	for _, tc := range hugeLengthCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := decode(tc.data)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("decode = %v, want %v", err, tc.want)
+			}
+			if n := after.TotalAlloc - before.TotalAlloc; n > 8<<20 {
+				t.Errorf("decoding %d bytes allocated %d bytes", len(tc.data), n)
+			}
+		})
 	}
 }
