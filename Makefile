@@ -28,7 +28,7 @@ race:
 # end-to-end load smoke (real seldond + seldonload over loopback), the
 # distributed-learning smoke (real worker subprocesses + coordinator),
 # the continuous-learning smoke (feedback loop under -race), and a short
-# fuzzing pass over the shard artifact decoder.
+# fuzzing pass over the shard, graph and session-state decoders.
 verify: vet race build test loadsmoke shardsmoke feedbacksmoke fuzzsmoke
 	@echo "verify OK"
 
@@ -93,17 +93,22 @@ shardsmoke:
 feedbacksmoke:
 	$(GO) run -race ./cmd/feedbacksmoke
 
-# fuzzsmoke fuzzes the shard artifact decoder (shard.ReadArtifact, the
-# coordinator's only ingest path for bytes it did not produce) for ten
-# seconds: every input must yield a named sentinel error or a settled
-# artifact, never a panic or an input-unbounded allocation. The seed
-# corpus is the round-trip artifacts plus the whole fault matrix.
-# -fuzzminimizetime 200x bounds how long each newly interesting input is
-# minimized; at the 60s default one multi-KB seed mutation would eat
-# the whole budget. A failure writes the input under
-# internal/shard/testdata/fuzz/ for replay with plain go test.
+# fuzzsmoke fuzzes the decoders of bytes the process did not produce
+# itself, ten seconds each: the shard artifact decoder
+# (shard.ReadArtifact, the coordinator's only ingest path), the
+# propagation-graph codec (propgraph.DecodeBinary, embedded in every
+# fpcache entry, shard section and session state) and the session state
+# loader (incr.Load, fed bodies that are re-sealed so mutations reach the
+# parser). Every input must yield an error or a value, never a panic or
+# an input-unbounded allocation. Each target is seeded with round-trip
+# encodings plus its rejection cases. -fuzzminimizetime 200x bounds how
+# long each newly interesting input is minimized; at the 60s default one
+# multi-KB seed mutation would eat the whole budget. A failure writes the
+# input under the package's testdata/fuzz/ for replay with plain go test.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadArtifact -fuzztime 10s -fuzzminimizetime 200x ./internal/shard
+	$(GO) test -run '^$$' -fuzz FuzzDecodeBinary -fuzztime 10s -fuzzminimizetime 200x ./internal/propgraph
+	$(GO) test -run '^$$' -fuzz FuzzLoadState -fuzztime 10s -fuzzminimizetime 200x ./internal/incr
 
 # load runs a longer self-served closed-loop measurement and prints the
 # latency percentiles (see also: seldonload -rps for open-loop SLO runs

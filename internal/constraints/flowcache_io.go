@@ -1,24 +1,21 @@
 package constraints
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
-	"math"
 	"os"
-	"path/filepath"
 	"sort"
 
+	"seldon/internal/envelope"
 	"seldon/internal/fpcache"
 	"seldon/internal/lp"
 )
 
 // FlowCache persistence: the per-file flow-constraint blocks survive the
 // process, so a fresh coordinator (or a new -session-dir run over the
-// same corpus) reuses pass-4 work instead of re-deriving it. The file
-// follows the incr state.bin pattern — magic, format version, the
-// versions and knobs the contents depend on, deterministic body, sha256
-// trailer — and, like fpcache, loading is infallible: a missing,
+// same corpus) reuses pass-4 work instead of re-deriving it. The file is
+// an envelope (internal/envelope) with magic "SFLC" whose payload is the
+// format version, the versions and knobs the contents depend on, and a
+// deterministic body; like fpcache, loading is infallible: a missing,
 // truncated, corrupted, stale-version, or knob-skewed file loads as an
 // empty cache (every span then misses and rebuilds, and the next Save
 // repairs the file). A wrong reuse is impossible even without the
@@ -31,28 +28,20 @@ import (
 const (
 	flowCacheMagic   = "SFLC"
 	flowCacheVersion = 1
+
+	// The smallest encodings of a block (name length, fingerprint, four
+	// counts, constraint count), a constraint (two term counts) and a
+	// term (var, coef), in bytes: what LoadFlowCache bounds their
+	// declared counts by.
+	minBlockBytes      = 8 + 32 + 4*8 + 8
+	minConstraintBytes = 2 * 8
+	minTermBytes       = 2 * 8
 )
 
-// wu64/wf64/wstr append little-endian primitives, the state.bin idiom.
-func fcU64(b []byte, v uint64) []byte {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	return append(b, buf[:]...)
-}
-
-func fcF64(b []byte, v float64) []byte {
-	return fcU64(b, math.Float64bits(v))
-}
-
-func fcStr(b []byte, s string) []byte {
-	b = fcU64(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-// Save writes the cache to path atomically (temp file + rename). The
+// Save writes the cache to path atomically (envelope.WriteFile). The
 // body is deterministic: blocks are emitted in sorted file order.
 func (c *FlowCache) Save(path string, opts Options) error {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	files := make([]string, 0, c.Len())
 	for f := range c.blocks {
 		files = append(files, f)
@@ -61,100 +50,39 @@ func (c *FlowCache) Save(path string, opts Options) error {
 
 	b := make([]byte, 0, 4096)
 	b = append(b, flowCacheMagic...)
-	b = fcU64(b, flowCacheVersion)
-	b = fcStr(b, fpcache.AnalyzerVersion)
-	b = fcF64(b, opts.C)
-	b = fcF64(b, opts.Lambda)
-	b = fcU64(b, uint64(opts.BackoffCutoff))
-	b = fcU64(b, uint64(opts.MaxComponent))
-	b = fcU64(b, uint64(len(files)))
+	b = envelope.AppendU64(b, flowCacheVersion)
+	b = envelope.AppendString64(b, fpcache.AnalyzerVersion)
+	b = envelope.AppendF64(b, opts.C)
+	b = envelope.AppendF64(b, opts.Lambda)
+	b = envelope.AppendU64(b, uint64(opts.BackoffCutoff))
+	b = envelope.AppendU64(b, uint64(opts.MaxComponent))
+	b = envelope.AppendU64(b, uint64(len(files)))
+	appendTerms := func(b []byte, ts []lp.Term) []byte {
+		b = envelope.AppendU64(b, uint64(len(ts)))
+		for _, t := range ts {
+			b = envelope.AppendU64(b, uint64(t.Var))
+			b = envelope.AppendF64(b, t.Coef)
+		}
+		return b
+	}
 	for _, f := range files {
 		blk := c.blocks[f]
-		b = fcStr(b, f)
+		b = envelope.AppendString64(b, f)
 		b = append(b, blk.fp[:]...)
-		b = fcU64(b, uint64(blk.countA))
-		b = fcU64(b, uint64(blk.countB))
-		b = fcU64(b, uint64(blk.countC))
-		b = fcU64(b, uint64(blk.skipped))
-		b = fcU64(b, uint64(len(blk.cons)))
+		b = envelope.AppendU64(b, uint64(blk.countA))
+		b = envelope.AppendU64(b, uint64(blk.countB))
+		b = envelope.AppendU64(b, uint64(blk.countC))
+		b = envelope.AppendU64(b, uint64(blk.skipped))
+		b = envelope.AppendU64(b, uint64(len(blk.cons)))
 		for i := range blk.cons {
-			con := &blk.cons[i]
-			b = fcU64(b, uint64(len(con.LHS)))
-			for _, t := range con.LHS {
-				b = fcU64(b, uint64(t.Var))
-				b = fcF64(b, t.Coef)
-			}
-			b = fcU64(b, uint64(len(con.RHS)))
-			for _, t := range con.RHS {
-				b = fcU64(b, uint64(t.Var))
-				b = fcF64(b, t.Coef)
-			}
+			b = appendTerms(b, blk.cons[i].LHS)
+			b = appendTerms(b, blk.cons[i].RHS)
 		}
 	}
-	sum := sha256.Sum256(b)
-	b = append(b, sum[:]...)
-
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	tmp, err := os.CreateTemp(dir, "."+base+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("flowcache: %w", err)
-	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("flowcache: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("flowcache: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := envelope.WriteFile(path, envelope.Seal(b)); err != nil {
 		return fmt.Errorf("flowcache: %w", err)
 	}
 	return nil
-}
-
-// fcReader walks a flow-cache body; any overrun latches bad.
-type fcReader struct {
-	data []byte
-	bad  bool
-}
-
-func (r *fcReader) u64() uint64 {
-	if r.bad || len(r.data) < 8 {
-		r.bad = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.data)
-	r.data = r.data[8:]
-	return v
-}
-
-func (r *fcReader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-func (r *fcReader) str() string {
-	n := r.u64()
-	if r.bad || uint64(len(r.data)) < n {
-		r.bad = true
-		return ""
-	}
-	s := string(r.data[:n])
-	r.data = r.data[n:]
-	return s
-}
-
-func (r *fcReader) bytes32() (out [32]byte) {
-	if r.bad || len(r.data) < 32 {
-		r.bad = true
-		return out
-	}
-	copy(out[:], r.data)
-	r.data = r.data[32:]
-	return out
 }
 
 // LoadFlowCache reads a persisted cache. It never errors: any problem —
@@ -164,70 +92,47 @@ func (r *fcReader) bytes32() (out [32]byte) {
 // use; a knob change invalidates the whole file (the conservative
 // reading of "the constraints may depend on it").
 func LoadFlowCache(path string, opts Options) (*FlowCache, bool) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return NewFlowCache(), false
 	}
-	if len(data) < len(flowCacheMagic)+sha256.Size ||
-		string(data[:len(flowCacheMagic)]) != flowCacheMagic {
+	r, err := envelope.Open(data, flowCacheMagic)
+	if err != nil {
 		return NewFlowCache(), false
 	}
-	body, sum := data[:len(data)-sha256.Size], data[len(data)-sha256.Size:]
-	if want := sha256.Sum256(body); string(want[:]) != string(sum) {
+	if r.U64() != flowCacheVersion || r.String64() != fpcache.AnalyzerVersion {
 		return NewFlowCache(), false
 	}
-	r := &fcReader{data: body[len(flowCacheMagic):]}
-	if r.u64() != flowCacheVersion || r.str() != fpcache.AnalyzerVersion {
+	if r.F64() != opts.C || r.F64() != opts.Lambda ||
+		r.U64() != uint64(opts.BackoffCutoff) || r.U64() != uint64(opts.MaxComponent) {
 		return NewFlowCache(), false
 	}
-	if r.f64() != opts.C || r.f64() != opts.Lambda ||
-		r.u64() != uint64(opts.BackoffCutoff) || r.u64() != uint64(opts.MaxComponent) {
-		return NewFlowCache(), false
-	}
-	n := r.u64()
-	if r.bad || n > uint64(len(r.data)) {
-		return NewFlowCache(), false
+	readTerms := func() []lp.Term {
+		ts := make([]lp.Term, r.Count64("term", minTermBytes))
+		for k := range ts {
+			ts[k] = lp.Term{Var: int(r.U64()), Coef: r.F64()}
+		}
+		return ts
 	}
 	c := NewFlowCache()
-	for i := uint64(0); i < n; i++ {
-		f := r.str()
-		blk := &flowBlock{fp: r.bytes32()}
-		blk.countA = int(r.u64())
-		blk.countB = int(r.u64())
-		blk.countC = int(r.u64())
-		blk.skipped = int(r.u64())
-		nc := r.u64()
-		if r.bad || nc > uint64(len(r.data)) {
-			return NewFlowCache(), false
-		}
-		blk.cons = make([]lp.Constraint, 0, nc)
-		for j := uint64(0); j < nc; j++ {
-			var con lp.Constraint
-			nl := r.u64()
-			if r.bad || nl > uint64(len(r.data)) {
-				return NewFlowCache(), false
-			}
-			con.LHS = make([]lp.Term, 0, nl)
-			for k := uint64(0); k < nl; k++ {
-				con.LHS = append(con.LHS, lp.Term{Var: int(r.u64()), Coef: r.f64()})
-			}
-			nr := r.u64()
-			if r.bad || nr > uint64(len(r.data)) {
-				return NewFlowCache(), false
-			}
-			con.RHS = make([]lp.Term, 0, nr)
-			for k := uint64(0); k < nr; k++ {
-				con.RHS = append(con.RHS, lp.Term{Var: int(r.u64()), Coef: r.f64()})
-			}
-			blk.cons = append(blk.cons, con)
-		}
-		if r.bad {
-			return NewFlowCache(), false
+	n := r.Count64("block", minBlockBytes)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		f := r.String64()
+		blk := &flowBlock{}
+		copy(blk.fp[:], r.Fixed(32))
+		blk.countA = int(r.U64())
+		blk.countB = int(r.U64())
+		blk.countC = int(r.U64())
+		blk.skipped = int(r.U64())
+		blk.cons = make([]lp.Constraint, r.Count64("constraint", minConstraintBytes))
+		for j := range blk.cons {
+			blk.cons[j].LHS = readTerms()
+			blk.cons[j].RHS = readTerms()
 		}
 		c.blocks[f] = blk
 	}
-	if r.bad || len(r.data) != 0 {
+	if r.Err() != nil || len(r.Rest()) != 0 {
 		return NewFlowCache(), false
 	}
 	return c, true

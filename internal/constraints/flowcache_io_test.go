@@ -3,12 +3,15 @@ package constraints_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"seldon/internal/constraints"
 	"seldon/internal/corpus"
+	"seldon/internal/envelope"
 	"seldon/internal/fpcache"
 )
 
@@ -143,6 +146,32 @@ func TestLoadFlowCacheRejects(t *testing.T) {
 		skew.Lambda = 0.5
 		expectEmpty(t, good, skew)
 	})
+	t.Run("huge constraint count", func(t *testing.T) {
+		// A sealed file whose one block declares 2^20 constraints over
+		// 1 MiB of zeros: every constraint takes at least 16 bytes, so
+		// the count must be rejected before it sizes an allocation.
+		empty := filepath.Join(t.TempDir(), "empty.bin")
+		if err := constraints.NewFlowCache().Save(empty, opts); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(empty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b = b[:len(b)-envelope.TrailerSize-8] // drop the trailer and the block count
+		b = envelope.AppendU64(b, 1)
+		b = envelope.AppendString64(b, "a.py")
+		b = append(b, make([]byte, 32+4*8)...)
+		b = envelope.AppendU64(b, 1<<20)
+		path := writeVariant(t, envelope.Seal(append(b, make([]byte, 1<<20)...)))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		expectEmpty(t, path, opts)
+		runtime.ReadMemStats(&after)
+		if d := after.TotalAlloc - before.TotalAlloc; d > 8<<20 {
+			t.Errorf("LoadFlowCache allocated %d MiB for a 1 MiB file", d>>20)
+		}
+	})
 	t.Run("good file still loads", func(t *testing.T) {
 		if _, ok := constraints.LoadFlowCache(good, opts); !ok {
 			t.Fatal("pristine file rejected")
@@ -154,7 +183,28 @@ func TestLoadFlowCacheRejects(t *testing.T) {
 // patch, so a test can present an internally-consistent file that is
 // wrong about the world (stale analyzer version) rather than corrupt.
 func resealFlowCache(b []byte) []byte {
-	body := b[:len(b)-sha256.Size]
-	sum := sha256.Sum256(body)
-	return append(body, sum[:]...)
+	return envelope.Seal(b[:len(b)-envelope.TrailerSize])
+}
+
+// TestFlowCacheWireGolden pins the flowcache.bin bytes of a fixed
+// corpus's flow blocks. A deliberate format change must bump
+// flowCacheVersion and re-pin.
+func TestFlowCacheWireGolden(t *testing.T) {
+	files := corpus.Generate(corpus.Config{Files: 6, Seed: 5}).FileMap()
+	opts := constraints.Options{Workers: 1}
+	_, _, union, spans := corpusSpans(t, files, 1)
+	cache := constraints.NewFlowCache()
+	constraints.BuildIncremental(union, corpus.ExperimentSeed(), opts, spans, cache)
+	path := filepath.Join(t.TempDir(), "flowcache.bin")
+	if err := cache.Save(path, opts); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "fefedd047bcea79d926b46602b5bdd53c92965baab994fe6604ccb7c6367d5da"
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
+		t.Errorf("flowcache.bin sha256 = %s, want %s", got, want)
+	}
 }

@@ -102,7 +102,7 @@ type DeltaStats struct {
 // flowcache.* counters are recorded only when a cache is passed.
 func BuildIncremental(g *propgraph.Graph, seed *spec.Spec, opts Options,
 	spans []Span, cache *FlowCache) (*System, DeltaStats) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	s, workers := buildCore(g, seed, opts)
 	m := opts.Metrics
 	st := DeltaStats{Spans: len(spans)}

@@ -48,7 +48,9 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-func (o Options) withDefaults() Options {
+// WithDefaults fills every zero knob with its default (C 0.75, Lambda
+// 0.1, BackoffCutoff 5, MaxComponent 50000).
+func (o Options) WithDefaults() Options {
 	if o.C == 0 {
 		o.C = 0.75
 	}

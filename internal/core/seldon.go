@@ -58,7 +58,10 @@ type Config struct {
 	Log *obs.Logger
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults fills the zero selection knobs with their defaults
+// (Threshold 0.1, BackoffDecay 0.8); Constraints keeps its own
+// (constraints.Options.WithDefaults).
+func (c Config) WithDefaults() Config {
 	if c.Threshold == 0 {
 		c.Threshold = 0.1
 	}
@@ -185,7 +188,7 @@ func BuildConstraints(g *propgraph.Graph, seed *spec.Spec, cfg Config,
 
 // Learn runs specification inference over a global propagation graph.
 func Learn(g *propgraph.Graph, seed *spec.Spec, cfg Config) *Result {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	start := time.Now()
 	sys, _, stage := BuildConstraints(g, seed, cfg, nil, nil)
 	res := &Result{
@@ -206,7 +209,7 @@ func Learn(g *propgraph.Graph, seed *spec.Spec, cfg Config) *Result {
 // through Config.Solver.WarmStart. The result is identical to Learn on
 // the same (graph, system) pair.
 func LearnPrepared(g *propgraph.Graph, sys *constraints.System, cfg Config) *Result {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	start := time.Now()
 	res := &Result{
 		Graph:      g,

@@ -13,18 +13,19 @@
 // renaming it, or bumping AnalyzerVersion changes the key and the old
 // entry is simply never looked up again.
 //
-// Entry format: magic + codec version + payload (recorded analysis cost,
-// parse-error text, propagation graph in propgraph's deterministic
-// binary codec) + sha256 checksum of everything before it.
+// Entry format: an envelope (internal/envelope) with magic "SFPC" whose
+// payload is the codec version, the recorded analysis cost, the
+// parse-error text and the propagation graph in propgraph's
+// deterministic binary codec.
 //
 // Two properties the rest of the pipeline relies on:
 //
 //   - Corruption tolerance: a truncated, tampered, or stale-version
 //     entry is a cache miss, never an error — the caller re-analyzes and
 //     the write-back repairs the entry.
-//   - Atomicity: Put writes to a temp file in the cache directory and
-//     renames it into place, so concurrent readers (and crashed writers)
-//     never observe a half-written entry.
+//   - Atomicity: Put writes through envelope.WriteFile (temp file in the
+//     cache directory, then rename), so concurrent readers (and crashed
+//     writers) never observe a half-written entry.
 package fpcache
 
 import (
@@ -38,6 +39,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"seldon/internal/envelope"
 	"seldon/internal/propgraph"
 )
 
@@ -56,7 +58,6 @@ const (
 	// caches invalidate by design without leaving orphans.
 	codecVersion = 2
 	entrySuffix  = ".fpc"
-	checksumSize = sha256.Size
 )
 
 // Entry is one cached per-file front-end result.
@@ -143,38 +144,22 @@ func (e *Entry) encode() []byte {
 // since re-encoding a decoded graph would only reproduce them (the codec
 // is deterministic).
 func EncodeRawEntry(graphEnc []byte, parseErr string, cost time.Duration) []byte {
-	buf := make([]byte, 0, len(magic)+2+16+len(parseErr)+len(graphEnc)+checksumSize)
+	buf := make([]byte, 0, len(magic)+2+16+len(parseErr)+len(graphEnc)+envelope.TrailerSize)
 	buf = append(buf, magic...)
 	buf = binary.AppendUvarint(buf, codecVersion)
 	buf = binary.AppendVarint(buf, int64(cost))
-	buf = binary.AppendUvarint(buf, uint64(len(parseErr)))
-	buf = append(buf, parseErr...)
+	buf = envelope.AppendString(buf, parseErr)
 	buf = append(buf, graphEnc...)
-	sum := sha256.Sum256(buf)
-	return append(buf, sum[:]...)
+	return envelope.Seal(buf)
 }
 
 // PutRawKey stores pre-encoded entry bytes (EncodeRawEntry) under a raw
-// key (KeyBytes) atomically: temp file in the cache directory, then
-// rename. The caller vouches that data is a well-formed entry for that
-// key; a wrong claim costs nothing but a wasted slot — Get re-validates
-// the checksum and codec on read and treats a bad entry as a miss.
+// key (KeyBytes) atomically (envelope.WriteFile). The caller vouches
+// that data is a well-formed entry for that key; a wrong claim costs
+// nothing but a wasted slot — Get re-validates the checksum and codec
+// on read and treats a bad entry as a miss.
 func (c *Cache) PutRawKey(key [sha256.Size]byte, data []byte) (int64, error) {
-	tmp, err := os.CreateTemp(c.dir, ".put-*")
-	if err != nil {
-		return 0, fmt.Errorf("fpcache: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return 0, fmt.Errorf("fpcache: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return 0, fmt.Errorf("fpcache: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), c.entryPath(hex.EncodeToString(key[:]))); err != nil {
-		os.Remove(tmp.Name())
+	if err := envelope.WriteFile(c.entryPath(hex.EncodeToString(key[:])), data); err != nil {
 		return 0, fmt.Errorf("fpcache: %w", err)
 	}
 	c.bytesWritten.Add(int64(len(data)))
@@ -183,34 +168,22 @@ func (c *Cache) PutRawKey(key [sha256.Size]byte, data []byte) (int64, error) {
 
 // decodeEntry parses and validates an on-disk entry.
 func decodeEntry(data []byte) (*Entry, error) {
-	if len(data) < len(magic)+1+checksumSize {
-		return nil, fmt.Errorf("fpcache: entry too short (%d bytes)", len(data))
+	r, err := envelope.Open(data, magic)
+	if err != nil {
+		return nil, fmt.Errorf("fpcache: %w", err)
 	}
-	payload, sum := data[:len(data)-checksumSize], data[len(data)-checksumSize:]
-	if want := sha256.Sum256(payload); string(want[:]) != string(sum) {
-		return nil, fmt.Errorf("fpcache: checksum mismatch")
-	}
-	if string(payload[:len(magic)]) != magic {
-		return nil, fmt.Errorf("fpcache: bad magic")
-	}
-	rest := payload[len(magic):]
-	ver, n := binary.Uvarint(rest)
-	if n <= 0 || ver != codecVersion {
+	if ver := r.Uvarint(); ver != codecVersion {
 		return nil, fmt.Errorf("fpcache: unsupported codec version %d", ver)
 	}
-	rest = rest[n:]
-	cost, n := binary.Varint(rest)
-	if n <= 0 || cost < 0 {
-		return nil, fmt.Errorf("fpcache: bad cost field")
+	cost := r.Varint()
+	if cost < 0 {
+		r.Failf("negative cost %d", cost)
 	}
-	rest = rest[n:]
-	errLen, n := binary.Uvarint(rest)
-	if n <= 0 || errLen > uint64(len(rest)-n) {
-		return nil, fmt.Errorf("fpcache: bad parse-error length")
+	parseErr := r.String()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("fpcache: %w", err)
 	}
-	rest = rest[n:]
-	parseErr := string(rest[:errLen])
-	g, tail, err := propgraph.DecodeBinary(rest[errLen:])
+	g, tail, err := propgraph.DecodeBinary(r.Rest())
 	if err != nil {
 		return nil, err
 	}
@@ -245,8 +218,9 @@ func (c *Cache) Put(name, content string, e *Entry) (int64, error) {
 	return c.PutRawKey(KeyBytes(name, content), e.encode())
 }
 
-// Clear removes every cache entry (and any abandoned temp file) from
-// the directory, leaving the directory itself in place.
+// Clear removes every cache entry (and any abandoned temp file, including
+// the ".put-" temps of earlier builds) from the directory, leaving the
+// directory itself in place.
 func (c *Cache) Clear() error {
 	des, err := os.ReadDir(c.dir)
 	if err != nil {
@@ -254,7 +228,7 @@ func (c *Cache) Clear() error {
 	}
 	for _, de := range des {
 		name := de.Name()
-		if strings.HasSuffix(name, entrySuffix) || strings.HasPrefix(name, ".put-") {
+		if strings.HasSuffix(name, entrySuffix) || envelope.IsTemp(name) || strings.HasPrefix(name, ".put-") {
 			if err := os.Remove(filepath.Join(c.dir, name)); err != nil {
 				return fmt.Errorf("fpcache: %w", err)
 			}

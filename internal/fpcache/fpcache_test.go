@@ -2,6 +2,8 @@ package fpcache
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -213,5 +215,16 @@ func TestPutMatchesPutRawKey(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatalf("Put wrote %d bytes, PutRawKey(EncodeRawEntry) %d; contents differ", len(a), len(b))
+	}
+}
+
+// TestEntryWireGolden pins the SFPC bytes of a fixed entry. A
+// deliberate format change must bump codecVersion and re-pin.
+func TestEntryWireGolden(t *testing.T) {
+	e := testEntry(t)
+	e.ParseError = "app.py:3:1: unexpected token"
+	const want = "dbc481259a6e693746b9f02d49b7692d41ec7832de9fb878344e01f606f1b6bc"
+	if got := fmt.Sprintf("%x", sha256.Sum256(e.encode())); got != want {
+		t.Errorf("entry sha256 = %s, want %s", got, want)
 	}
 }

@@ -32,6 +32,7 @@
 package incr
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"sort"
 	"sync"
@@ -180,7 +181,7 @@ func (s *Session) Splice(name string, g *propgraph.Graph) {
 	t0 := time.Now()
 	enc := g.AppendBinary(nil)
 	s.mu.Lock()
-	if old := s.files[name]; old != nil && bytesEqual(old.enc, enc) {
+	if old := s.files[name]; old != nil && bytes.Equal(old.enc, enc) {
 		s.mu.Unlock()
 		s.cfg.Metrics.ObserveDuration(obs.StageIncrSplice, time.Since(t0))
 		return
@@ -211,7 +212,7 @@ func (s *Session) SpliceSource(name, source string) {
 	g := fe.Graphs[0]
 	enc := g.AppendBinary(nil)
 	s.mu.Lock()
-	if old := s.files[name]; old == nil || !bytesEqual(old.enc, enc) {
+	if old := s.files[name]; old == nil || !bytes.Equal(old.enc, enc) {
 		s.changed++
 	}
 	s.files[name] = &fileState{contentHash: h, hasContent: true, enc: enc, graph: g}
@@ -376,34 +377,12 @@ func (s *Session) LearnedSpec() *spec.Spec {
 }
 
 // knobs returns the learning parameters that must match for a restored
-// session to be reusable.
+// session to be reusable, with the pipeline's defaults filled in.
 func (s *Session) knobs() sessionKnobs {
-	c := s.cfg.Constraints.C
-	if c == 0 {
-		c = 0.75
-	}
-	lambda := s.cfg.Constraints.Lambda
-	if lambda == 0 {
-		lambda = 0.1
-	}
-	threshold := s.cfg.Threshold
-	if threshold == 0 {
-		threshold = 0.1
-	}
-	decay := s.cfg.BackoffDecay
-	if decay == 0 {
-		decay = 0.8
-	}
-	cutoff := s.cfg.Constraints.BackoffCutoff
-	if cutoff == 0 {
-		cutoff = 5
-	}
-	maxComp := s.cfg.Constraints.MaxComponent
-	if maxComp == 0 {
-		maxComp = 50000
-	}
-	return sessionKnobs{C: c, Lambda: lambda, Threshold: threshold,
-		Decay: decay, Cutoff: cutoff, MaxComponent: maxComp}
+	cfg := s.cfg.WithDefaults()
+	co := cfg.Constraints.WithDefaults()
+	return sessionKnobs{C: co.C, Lambda: co.Lambda, Threshold: cfg.Threshold,
+		Decay: cfg.BackoffDecay, Cutoff: co.BackoffCutoff, MaxComponent: co.MaxComponent}
 }
 
 // Score returns the last solve's score of a (rep, role) variable; ok is
@@ -416,16 +395,4 @@ func (s *Session) Score(rep string, role propgraph.Role) (float64, bool) {
 	}
 	v, ok := s.prev[PinKey{Rep: rep, Role: role}]
 	return v, ok
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -15,7 +15,7 @@ import (
 	"seldon/internal/specio"
 )
 
-func testCorpus(t *testing.T, n int, seed int64) (map[string]string, []string) {
+func testCorpus(t testing.TB, n int, seed int64) (map[string]string, []string) {
 	t.Helper()
 	files := corpus.Generate(corpus.Config{Files: n, Seed: seed}).FileMap()
 	names := make([]string, 0, len(files))
@@ -27,7 +27,7 @@ func testCorpus(t *testing.T, n int, seed int64) (map[string]string, []string) {
 }
 
 // sessionFrom splices every corpus file into a fresh session.
-func sessionFrom(t *testing.T, files map[string]string, cfg core.Config) *incr.Session {
+func sessionFrom(t testing.TB, files map[string]string, cfg core.Config) *incr.Session {
 	t.Helper()
 	s := incr.NewSession(corpus.ExperimentSeed(), cfg)
 	for name, src := range files {

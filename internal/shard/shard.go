@@ -8,7 +8,8 @@
 // an optional fpcache sidecar entry (content-addressed cache key plus
 // recorded analysis cost), and the file's propagation graph in
 // propgraph's v2 binary codec with a per-shard symbol table. The whole
-// artifact is sha256-checksummed like an fpcache entry — but where a
+// artifact is sealed with the envelope's sha256 trailer
+// (internal/envelope) like an fpcache entry — but where a
 // corrupt cache entry is silently re-analyzed, a corrupt shard artifact
 // is a hard, named error: the coordinator is reassembling a corpus from
 // pieces it cannot recompute, so truncation, bit flips, stale codecs,
@@ -56,9 +57,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"time"
 
+	"seldon/internal/envelope"
 	"seldon/internal/propgraph"
 )
 
@@ -70,7 +71,7 @@ const (
 	// named error, not a silent re-analyze — the coordinator cannot
 	// rebuild a shard it did not analyze.
 	codecVersion = 2
-	checksumSize = sha256.Size
+	checksumSize = envelope.TrailerSize
 	// headerMin is magic + version byte + at least one length byte.
 	headerMin = len(magic) + 2
 
@@ -83,12 +84,6 @@ const (
 	// hand is ordinary truncation.
 	maxPayloadLen = 1 << 40
 )
-
-// appendString appends a length-prefixed string.
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
 
 // Named ingestion errors. Every way an artifact can be unusable has a
 // distinct sentinel so the coordinator (and its tests) can tell a
@@ -193,7 +188,7 @@ func (a *Artifact) Encode() []byte {
 	}
 
 	payload := make([]byte, 0, 4096)
-	payload = appendString(payload, a.AnalyzerVersion)
+	payload = envelope.AppendString(payload, a.AnalyzerVersion)
 	payload = binary.AppendUvarint(payload, uint64(a.Slice))
 	payload = binary.AppendUvarint(payload, uint64(a.Slices))
 	var flags byte
@@ -205,9 +200,9 @@ func (a *Artifact) Encode() []byte {
 	var graphBuf []byte
 	for i := range a.Files {
 		f := &a.Files[i]
-		payload = appendString(payload, f.Name)
+		payload = envelope.AppendString(payload, f.Name)
 		payload = append(payload, f.SHA256[:]...)
-		payload = appendString(payload, f.ParseError)
+		payload = envelope.AppendString(payload, f.ParseError)
 		if sidecar {
 			payload = append(payload, a.SidecarKeys[i][:]...)
 			payload = binary.AppendUvarint(payload, uint64(a.SidecarCosts[i]))
@@ -222,8 +217,7 @@ func (a *Artifact) Encode() []byte {
 	out = append(out, codecVersion)
 	out = binary.AppendUvarint(out, uint64(len(payload)))
 	out = append(out, payload...)
-	sum := sha256.Sum256(out)
-	return append(out, sum[:]...)
+	return envelope.Seal(out)
 }
 
 // ReadFile streams one artifact from path through the incremental
@@ -249,30 +243,12 @@ func Write(w io.Writer, a *Artifact) (int64, error) {
 	return int64(n), err
 }
 
-// WriteFile writes the artifact to path atomically (temp file + rename,
-// the fpcache pattern), so a crashed worker never leaves a partial
-// artifact that a coordinator could pick up.
+// WriteFile writes the artifact to path atomically (envelope.WriteFile),
+// so a crashed worker never leaves a partial artifact that a
+// coordinator could pick up.
 func WriteFile(path string, a *Artifact) (int64, error) {
 	data := a.Encode()
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	tmp, err := os.CreateTemp(dir, "."+base+".tmp-*")
-	if err != nil {
-		return 0, err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return 0, err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return 0, err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := envelope.WriteFile(path, data); err != nil {
 		return 0, err
 	}
 	return int64(len(data)), nil

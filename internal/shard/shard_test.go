@@ -2,10 +2,13 @@ package shard
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"seldon/internal/core"
 	"seldon/internal/corpus"
@@ -261,5 +264,27 @@ func TestBuildAnalyzerVersion(t *testing.T) {
 	a := buildSlice(t, files, 0, 1)
 	if a.AnalyzerVersion != fpcache.AnalyzerVersion {
 		t.Errorf("artifact carries analyzer version %q, want %q", a.AnalyzerVersion, fpcache.AnalyzerVersion)
+	}
+}
+
+// TestArtifactWireGolden pins the SSHD bytes of a fixed slice, with and
+// without the fpcache sidecar. The sidecar costs are fixed here because
+// Build records wall times. A deliberate format change must bump
+// codecVersion and re-pin.
+func TestArtifactWireGolden(t *testing.T) {
+	files := testFiles(t, 6)
+	a := buildSlice(t, files, 0, 2)
+	const wantPlain = "9d297d4edf4cebae99bdbe25dff06ec7e9e7c4452bf9da340837a0f1295f7661"
+	if got := fmt.Sprintf("%x", sha256.Sum256(a.Encode())); got != wantPlain {
+		t.Errorf("artifact sha256 = %s, want %s", got, wantPlain)
+	}
+	costs := make([]time.Duration, len(a.Files))
+	for j := range costs {
+		costs[j] = time.Duration(j+1) * time.Millisecond
+	}
+	a.AttachSidecar(files, &core.FrontEnd{Costs: costs})
+	const wantSidecar = "d8b594418e2657932af33d4917e7bd477c724bac0d24dcbba436ef7e230694be"
+	if got := fmt.Sprintf("%x", sha256.Sum256(a.Encode())); got != wantSidecar {
+		t.Errorf("sidecar artifact sha256 = %s, want %s", got, wantSidecar)
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"os"
 	"sort"
 
+	"seldon/internal/envelope"
 	"seldon/internal/propgraph"
 	"seldon/internal/spec"
 )
@@ -127,13 +128,15 @@ func Decode(r io.Reader) (*spec.Spec, Meta, error) {
 	return s, st.Meta, nil
 }
 
-// Save writes the store to path (0644).
+// Save writes the store to path (0644) atomically (envelope.WriteFile):
+// a concurrent Load — seldond's /v1/reload reads this same path — sees
+// the old store or the new one, never a truncated mix.
 func Save(path string, s *spec.Spec, meta Meta) error {
 	var buf bytes.Buffer
 	if err := Encode(&buf, s, meta); err != nil {
 		return err
 	}
-	return os.WriteFile(path, buf.Bytes(), 0o644)
+	return envelope.WriteFile(path, buf.Bytes())
 }
 
 // Load reads a store from path.

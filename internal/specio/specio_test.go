@@ -220,3 +220,39 @@ func TestFingerprintStore(t *testing.T) {
 		t.Error("fingerprint ignores metadata")
 	}
 }
+
+// TestSaveReplacesAtomically: Save must put a new file in place rather
+// than rewrite the old one, so a reader that opened the old store
+// (seldond's /v1/reload loads this same path) keeps reading the
+// complete old bytes instead of a truncated mix of old and new.
+func TestSaveReplacesAtomically(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "specs.json")
+	if err := Save(path, sampleSpec(), sampleMeta()); err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	next := sampleSpec()
+	next.Add(propgraph.Sink, "subprocess.call()")
+	if err := Save(path, next, Meta{Generator: "next"}); err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if _, err := got.ReadFrom(f); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), old) {
+		t.Fatalf("old descriptor read %d bytes that are not the old %d-byte store", got.Len(), len(old))
+	}
+	if s, _, err := Load(path); err != nil || !Equal(s, next) {
+		t.Fatalf("path does not hold the new store: %v", err)
+	}
+}
