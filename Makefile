@@ -19,16 +19,18 @@ vet:
 # metrics registry, the sharded solver kernel, the parallel corpus
 # front-end, the analysis cache, the HTTP service (worker pool,
 # backpressure, drain, hot reload), the symbol interner, the sharded
-# constraint build, and the shard worker/coordinator (subprocess
-# fan-out, concurrent artifact decode).
+# constraint build, the shard worker/coordinator (subprocess fan-out,
+# concurrent artifact decode), and the incremental-learning session
+# (every Session method is documented safe for concurrent use).
 race:
-	$(GO) test -race ./internal/obs/... ./internal/lp/... ./internal/core/... ./internal/fpcache/... ./internal/service/... ./internal/propgraph/... ./internal/constraints/... ./internal/shard/...
+	$(GO) test -race ./internal/obs/... ./internal/lp/... ./internal/core/... ./internal/fpcache/... ./internal/service/... ./internal/propgraph/... ./internal/constraints/... ./internal/shard/... ./internal/incr/...
 
 # verify = tier-1 (build + full tests) plus vet, the race checks, the
 # end-to-end load smoke (real seldond + seldonload over loopback), the
 # distributed-learning smoke (real worker subprocesses + coordinator),
 # the continuous-learning smoke (feedback loop under -race), and a short
-# fuzzing pass over the shard, graph and session-state decoders.
+# fuzzing pass over the shard, graph, session-state and spec-store
+# decoders.
 verify: vet race build test loadsmoke shardsmoke feedbacksmoke fuzzsmoke
 	@echo "verify OK"
 
@@ -86,8 +88,9 @@ shardsmoke:
 # the race detector: learn a store inside an incremental session, serve
 # it, report a finding over a learned entry, warm the check cache with
 # an identical request, reject the finding via POST /v1/feedback
-# (asserting a new store generation, a fully span-reused warm re-solve,
-# and that the previously-cached check no longer reports the flow),
+# (asserting a new store generation, a fully span-reused re-solve whose
+# store is byte-identical to a fresh session's over the same corpus and
+# pin, and that the previously-cached check no longer reports the flow),
 # then accept the same symbol and assert the finding returns. A stale
 # cache entry, missing pin, or stuck generation fails CI here.
 feedbacksmoke:
@@ -97,9 +100,11 @@ feedbacksmoke:
 # itself, ten seconds each: the shard artifact decoder
 # (shard.ReadArtifact, the coordinator's only ingest path), the
 # propagation-graph codec (propgraph.DecodeBinary, embedded in every
-# fpcache entry, shard section and session state) and the session state
+# fpcache entry, shard section and session state), the session state
 # loader (incr.Load, fed bodies that are re-sealed so mutations reach the
-# parser). Every input must yield an error or a value, never a panic or
+# parser) and the spec-store decoder (specio.Decode, what seldond's
+# startup and /v1/reload read; a decoded store must also survive an
+# Encode→Decode round trip). Every input must yield an error or a value, never a panic or
 # an input-unbounded allocation. Each target is seeded with round-trip
 # encodings plus its rejection cases. -fuzzminimizetime 200x bounds how
 # long each newly interesting input is minimized; at the 60s default one
@@ -109,6 +114,7 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadArtifact -fuzztime 10s -fuzzminimizetime 200x ./internal/shard
 	$(GO) test -run '^$$' -fuzz FuzzDecodeBinary -fuzztime 10s -fuzzminimizetime 200x ./internal/propgraph
 	$(GO) test -run '^$$' -fuzz FuzzLoadState -fuzztime 10s -fuzzminimizetime 200x ./internal/incr
+	$(GO) test -run '^$$' -fuzz FuzzDecodeStore -fuzztime 10s -fuzzminimizetime 200x ./internal/specio
 
 # load runs a longer self-served closed-loop measurement and prints the
 # latency percentiles (see also: seldonload -rps for open-loop SLO runs
@@ -140,7 +146,7 @@ bench:
 # from-scratch re-learn of a mutated on-disk corpus against a
 # persistent-session re-learn (seldon -session-dir) of the same corpus:
 # full vs delta wall (the delta run re-analyzes one changed file out of
-# 240), span/constraint reuse, and warm vs cold solver epochs. The
+# 240), span/constraint reuse, and the from-scratch solver epochs. The
 # invariant worth watching is delta_wall_s staying a small fraction of
 # full_wall_s — that ratio is the whole point of internal/incr. A
 # "distributed_stream" section then runs the same 2400-file fan-out

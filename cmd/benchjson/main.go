@@ -25,8 +25,8 @@
 // A third mode compares a from-scratch re-learn of a mutated corpus
 // against an incremental-session re-learn of the same corpus (seldon
 // -session-dir) and merges an "incremental" section — full vs delta
-// wall, speedup, span/constraint reuse, and warm vs cold solver
-// epochs:
+// wall, speedup, span/constraint reuse, and the from-scratch run's
+// solver epochs:
 //
 //	benchjson -incr-full full.json -incr-delta delta.json -into BENCH.json
 //
@@ -229,9 +229,9 @@ func mergeDistributed(into, singlePath, shardsPath string, shards int) error {
 // re-learned through a persistent session (seldon -session-dir) — and
 // merges it into the snapshot file. delta_wall_s against full_wall_s is
 // the headline: the session run re-analyzes only the changed files and
-// warm-starts the solver, so its wall should stay well under the
-// from-scratch wall even though a fresh process rebuilds the
-// flow-constraint cache once.
+// reuses the persisted flow blocks of the unchanged ones, so its wall
+// should stay well under the from-scratch wall; both runs pay the same
+// solve.
 func mergeIncremental(into, fullPath, deltaPath string) error {
 	if fullPath == "" || deltaPath == "" {
 		return fmt.Errorf("incremental mode needs both -incr-full and -incr-delta")
@@ -258,8 +258,6 @@ func mergeIncremental(into, fullPath, deltaPath string) error {
 		"spans_reused":       delta.Gauges[obs.GaugeIncrSpansReused],
 		"constraints_reused": delta.Gauges[obs.GaugeIncrConstraintsReused],
 		"cold_epochs":        full.Gauges[obs.GaugeSolverEpochs],
-		"warm_epochs":        delta.Gauges[obs.GaugeSolverEpochs],
-		"warm_epochs_saved":  delta.Gauges[obs.GaugeWarmEpochsSaved],
 	}
 
 	data, err := os.ReadFile(into)

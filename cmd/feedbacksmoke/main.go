@@ -10,9 +10,11 @@
 // then drives both feedback directions through POST /v1/feedback:
 //
 //  1. reject the finding by its id — the sink variable pins to 0, the
-//     re-solve must reuse every constraint span and warm-start, the
-//     store generation must advance, and an identical re-check (which
-//     was a cache hit moments before) must no longer report the flow;
+//     re-solve must reuse every constraint span, the published store
+//     must be byte-identical to a fresh session's over the same corpus
+//     and pins, the store generation must advance, and an identical
+//     re-check (which was a cache hit moments before) must no longer
+//     report the flow;
 //  2. accept the same (symbol, role) — the pin flips to 1, the
 //     generation advances again, and the finding reappears.
 //
@@ -38,6 +40,7 @@ import (
 	"seldon/internal/incr"
 	"seldon/internal/propgraph"
 	"seldon/internal/service"
+	"seldon/internal/spec"
 	"seldon/internal/specio"
 )
 
@@ -53,8 +56,9 @@ func main() {
 func run() error {
 	// Learn inside a session so the server can re-solve on feedback.
 	seed := corpus.ExperimentSeed()
+	files := corpus.Generate(corpus.Config{Files: corpusFiles}).FileMap()
 	sess := incr.NewSession(seed, core.Config{Workers: 4})
-	for name, src := range corpus.Generate(corpus.Config{Files: corpusFiles}).FileMap() {
+	for name, src := range files {
 		sess.SpliceSource(name, src)
 	}
 	res, _ := sess.Relearn()
@@ -138,9 +142,12 @@ func run() error {
 	if rej.Epoch == "" || rej.Epoch == epoch0 {
 		return fmt.Errorf("reject did not advance the generation: %q -> %q", epoch0, rej.Epoch)
 	}
-	if !rej.WarmStarted || rej.SpansReused != sess.Len() {
-		return fmt.Errorf("reject re-solve not incremental: warm=%v, spans reused %d/%d",
-			rej.WarmStarted, rej.SpansReused, sess.Len())
+	if rej.SpansReused != sess.Len() {
+		return fmt.Errorf("reject re-solve not incremental: spans reused %d/%d",
+			rej.SpansReused, sess.Len())
+	}
+	if err := matchesFresh(files, seed, rej); err != nil {
+		return err
 	}
 	after, err := check(base, body)
 	if err != nil {
@@ -184,6 +191,40 @@ func run() error {
 		"generations %s -> %s -> %s, spans reused %d/%d\n",
 		first.Total, after.Total, restored.Total,
 		short(epoch0), short(rej.Epoch), short(acc.Epoch), rej.SpansReused, sess.Len())
+	return nil
+}
+
+// matchesFresh learns files in a fresh session carrying the verdict's
+// pins and requires its store, under the metadata the feedback handler
+// publishes with, to have the fingerprint of the store the verdict
+// published: a relearned session must equal a from-scratch one.
+func matchesFresh(files map[string]string, seed *spec.Spec, v *service.FeedbackResponse) error {
+	fresh := incr.NewSession(seed, core.Config{Workers: 1})
+	for name, src := range files {
+		fresh.SpliceSource(name, src)
+	}
+	for _, p := range v.Pinned {
+		for _, role := range []propgraph.Role{propgraph.Source, propgraph.Sanitizer, propgraph.Sink} {
+			if role.String() == p.Role {
+				fresh.Pin(p.Symbol, role, p.Value)
+			}
+		}
+	}
+	res, _ := fresh.Relearn()
+	fp, err := specio.FingerprintStore(fresh.LearnedSpec(), specio.Meta{
+		CorpusFiles:    fresh.Len(),
+		Events:         len(res.Graph.Events),
+		SeedEntries:    seed.Len(),
+		LearnedEntries: len(res.LearnedEntries(seed)),
+		Generator:      "seldond/feedback",
+	})
+	if err != nil {
+		return err
+	}
+	if fp != v.StoreFingerprint {
+		return fmt.Errorf("store published after the verdict (%s) differs from a fresh session's (%s)",
+			short(v.StoreFingerprint), short(fp))
+	}
 	return nil
 }
 

@@ -36,14 +36,15 @@
 //	seldon -dir repo -cache-dir ~/.cache/seldon -cache-clear
 //
 // Continuous learning: -session-dir persists the whole learning state
-// (per-file propagation graphs, previous solution, feedback pins)
-// between runs. A re-run diffs the corpus against the session, splices
-// only changed files, reuses the cached constraint blocks of unchanged
-// ones, and warm-starts the solver from the previous solution — same
-// store as a from-scratch run, a fraction of the work. -feedback
-// replays operator verdicts (accept/reject of a (symbol, role)) into
-// the session as hard constraints before re-learning; the same session
-// directory powers seldond's live /v1/feedback endpoint.
+// (per-file propagation graphs, feedback pins, the flow-constraint
+// cache) between runs. A re-run diffs the corpus against the session,
+// splices only changed files, reuses the cached constraint blocks of
+// unchanged ones, and runs the from-scratch solve — the same store as a
+// from-scratch run, without re-analyzing or re-flowing unchanged
+// files. -feedback replays operator verdicts (accept/reject of a
+// (symbol, role)) into the session as hard constraints before
+// re-learning; the same session directory powers seldond's live
+// /v1/feedback endpoint.
 //
 //	seldon -generate 240 -session-dir .seldon-session -o specs.json
 //	seldon -dir repo -session-dir s -feedback verdicts.json -o specs.json

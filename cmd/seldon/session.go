@@ -15,13 +15,14 @@ import (
 
 // The -session-dir path: learning through a persistent incremental
 // session instead of from scratch. The session directory holds one
-// state file (internal/incr) carrying the per-file propagation graphs,
-// the previous solution, and any feedback pins. A run diffs the current
-// corpus against the session by source content hash — unchanged files
-// are not even re-parsed — retracts files that disappeared, splices the
-// rest, applies -feedback verdicts, re-learns (delta constraint build +
-// warm-started solve), and persists the updated session. The learned
-// store is byte-identical to a from-scratch run over the same corpus.
+// state file (internal/incr) carrying the per-file propagation graphs
+// and any feedback pins, plus the flow-constraint cache beside it. A run
+// diffs the current corpus against the session by source content hash —
+// unchanged files are not even re-parsed — retracts files that
+// disappeared, splices the rest, applies -feedback verdicts, re-learns
+// (delta constraint build + the from-scratch solve), and persists the
+// updated session. The learned store is byte-identical to a from-scratch
+// run over the same corpus and pins.
 
 // verdict is one entry of a -feedback file: a JSON array of objects,
 // each carrying a symbol, a role (source, sanitizer, or sink), and a
@@ -122,9 +123,9 @@ func runSession(sessionDir, feedbackFile string, files map[string]string,
 		mode = "resumed"
 	}
 	fmt.Printf("session %s (%s): %d files (%d spliced, %d unchanged, %d retracted), "+
-		"spans reused %d/%d, warm=%v, epochs saved %d",
+		"spans reused %d/%d",
 		sessionDir, mode, st.Files, spliced, skipped, retracted,
-		st.Delta.SpansReused, st.Delta.Spans, st.WarmStarted, st.EpochsSaved)
+		st.Delta.SpansReused, st.Delta.Spans)
 	if pins > 0 {
 		fmt.Printf(", %d feedback pins", pins)
 	}

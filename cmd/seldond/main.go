@@ -34,10 +34,11 @@
 // session persisted by `seldon -session-dir`, enabling POST
 // /v1/feedback — accept/reject a check finding (by its id) or a
 // (symbol, role) pair, and the server pins the verdict as a hard
-// constraint, re-solves warm-started over the cached constraint blocks,
-// and swaps the re-learned store in as a new generation (check results
-// re-cache under the new epoch automatically). The updated session is
-// persisted back on shutdown.
+// constraint, re-learns over the cached constraint blocks (the same
+// solve as a from-scratch learn, so the same store), and swaps the
+// re-learned store in as a new generation (check results re-cache under
+// the new epoch automatically). The updated session is persisted back
+// on shutdown.
 //
 //	seldon -generate 240 -session-dir s -o specs.json
 //	seldond -specs specs.json -session-dir s

@@ -204,10 +204,9 @@ func Learn(g *propgraph.Graph, seed *spec.Spec, cfg Config) *Result {
 // LearnPrepared runs the solve + select half of the pipeline over an
 // already-built constraint system. It is the second half of every learn
 // driver that runs BuildConstraints itself — the shard coordinator, and
-// the incremental session, which pins
-// feedback variables between the two halves and warm-starts the solver
-// through Config.Solver.WarmStart. The result is identical to Learn on
-// the same (graph, system) pair.
+// the incremental session, which pins feedback variables between the two
+// halves. The result is identical to Learn on the same (graph, system)
+// pair.
 func LearnPrepared(g *propgraph.Graph, sys *constraints.System, cfg Config) *Result {
 	cfg = cfg.WithDefaults()
 	start := time.Now()

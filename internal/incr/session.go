@@ -13,22 +13,21 @@
 //   - runs the pipeline's constraint stage (core.BuildConstraints) with
 //     the session's file spans and flow cache, reusing the cached
 //     flow-constraint block of every file whose support set is unchanged,
-//   - warm-starts projected Adam from the previous solution, translated
-//     across variable renumbering by (rep, role); new variables start
-//     cold and pinned variables are re-pinned on top,
-//   - applies feedback pins as hard LP constraints (lp.Problem.Pin).
+//   - applies feedback pins as hard LP constraints (lp.Problem.Pin),
+//   - runs the pipeline's one solve (core.LearnPrepared): the same cold
+//     start and full epoch budget as a from-scratch learn.
 //
 // Determinism contract: the incrementally built constraint system is
 // byte-identical to constraints.Build on the union of the current file
-// set (pinned by the equivalence-oracle tests), and the warm-started
-// solve converges to the same specification store as a cold run under
-// the default tolerance (golden tests).
+// set, and the solve is the from-scratch solve, so a session's store is
+// byte-identical to a from-scratch learn over the same files and pins
+// by construction (pinned by the equivalence-oracle tests). What a
+// relearn saves is the flow pass of every unchanged file.
 //
 // Sessions persist: Save writes the full state (per-file graphs, seed,
-// knobs, previous solution, pins) to one self-checking binary file and
-// Load restores it, so corpus evolution across CLI runs — and feedback
-// served by a long-running seldond — re-learns incrementally instead of
-// cold.
+// knobs, pins) to one self-checking binary file and Load restores it,
+// so corpus evolution across CLI runs — and feedback served by a
+// long-running seldond — re-learns incrementally instead of cold.
 package incr
 
 import (
@@ -50,13 +49,6 @@ type PinKey struct {
 	Rep  string
 	Role propgraph.Role
 }
-
-// warmPatience is the plateau window (epochs without a best-objective
-// improvement) applied to warm-started re-solves. Wide enough that a
-// genuinely-moved optimum is still chased across shallow plateaus,
-// narrow enough that a near-optimal warm start stops in a fraction of
-// the full epoch budget.
-const warmPatience = 25
 
 // fileState is one corpus file inside the session.
 type fileState struct {
@@ -82,12 +74,6 @@ type Session struct {
 	files map[string]*fileState
 	cache *constraints.FlowCache
 	pins  map[PinKey]float64
-
-	// prev is the last solution keyed by (rep, role); coldEpochs the
-	// epoch count of the session's last cold (non-warm) solve, the
-	// baseline solver.warm_epochs_saved is measured against.
-	prev       map[PinKey]float64
-	coldEpochs int
 
 	result  *core.Result
 	changed int // files spliced/retracted since the last Relearn
@@ -261,19 +247,13 @@ type RelearnStats struct {
 	Files        int
 	FilesChanged int
 	Delta        constraints.DeltaStats
-	// WarmStarted reports that the solve resumed from a previous
-	// solution; EpochsSaved is the saving against the session's last
-	// cold solve (0 when cold or when the warm solve was not faster).
-	WarmStarted bool
-	EpochsSaved int
 }
 
 // Relearn re-runs inference over the session's current file set and
 // returns the result. The union is rebuilt from the per-file graphs
 // (sorted name order — byte-identical to a from-scratch run), the
 // constraint system is built delta-aware, feedback pins are applied as
-// hard constraints, and the solve warm-starts from the previous
-// solution when one exists.
+// hard constraints, and the solve is the from-scratch solve.
 func (s *Session) Relearn() (*core.Result, RelearnStats) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -316,49 +296,15 @@ func (s *Session) Relearn() (*core.Result, RelearnStats) {
 	s.cfg.Metrics.ObserveDuration(obs.StageIncrRebuild, time.Since(t0))
 	s.cfg.Metrics.Set(obs.GaugeFeedbackPinnedVars, float64(pinned))
 
-	// Warm start: the previous solution translated through (rep, role).
-	// Variables new to this system (or whose representation vanished)
-	// start at zero, exactly like a cold solve would start them. Warm
-	// solves also get a plateau stop — starting at (or near) the
-	// previous optimum, the best objective goes flat almost immediately
-	// on a lightly-mutated corpus, and the patience window is what turns
-	// that flatness into saved epochs. Cold solves keep the full budget.
 	t0 = time.Now()
-	cfg := s.cfg
-	if s.prev != nil {
-		warm := make([]float64, sys.Problem.NumVars)
-		for i, v := range sys.Vars {
-			warm[i] = s.prev[PinKey{Rep: v.Rep, Role: v.Role}]
-		}
-		cfg.Solver.WarmStart = warm
-		if cfg.Solver.Patience == 0 {
-			cfg.Solver.Patience = warmPatience
-		}
-		st.WarmStarted = true
-	}
-	res := core.LearnPrepared(union, sys, cfg)
+	res := core.LearnPrepared(union, sys, s.cfg)
 	res.Stages = append([]core.StageTiming{stage}, res.Stages...)
 	s.cfg.Metrics.ObserveDuration(obs.StageIncrResolve, time.Since(t0))
 
-	// Record the solution for the next warm start and the epoch baseline.
-	sol := make(map[PinKey]float64, len(sys.Vars))
-	for i, v := range sys.Vars {
-		sol[PinKey{Rep: v.Rep, Role: v.Role}] = res.Solution[i]
-	}
-	s.prev = sol
-	if st.WarmStarted {
-		if saved := s.coldEpochs - res.SolverEpochs; saved > 0 {
-			st.EpochsSaved = saved
-		}
-	} else {
-		s.coldEpochs = res.SolverEpochs
-	}
-	s.cfg.Metrics.Set(obs.GaugeWarmEpochsSaved, float64(st.EpochsSaved))
 	s.cfg.Metrics.Set(obs.GaugeIncrFiles, float64(st.Files))
 	s.cfg.Metrics.Set(obs.GaugeIncrFilesChanged, float64(st.FilesChanged))
 	s.cfg.Log.Log("incr.relearn", "files", st.Files, "changed", st.FilesChanged,
-		"spans_reused", delta.SpansReused, "warm", st.WarmStarted,
-		"epochs", res.SolverEpochs, "epochs_saved", st.EpochsSaved)
+		"spans_reused", delta.SpansReused, "epochs", res.SolverEpochs)
 
 	s.result = res
 	s.changed = 0
@@ -390,9 +336,12 @@ func (s *Session) knobs() sessionKnobs {
 func (s *Session) Score(rep string, role propgraph.Role) (float64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.prev == nil {
+	if s.result == nil {
 		return 0, false
 	}
-	v, ok := s.prev[PinKey{Rep: rep, Role: role}]
-	return v, ok
+	id := s.result.System.VarID(rep, role)
+	if id < 0 {
+		return 0, false
+	}
+	return s.result.Solution[id], true
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"testing"
 
 	"seldon/internal/core"
@@ -69,10 +70,7 @@ func TestSessionEquivalenceOracle(t *testing.T) {
 		if s.Len() != len(files) {
 			t.Fatalf("workers=%d: session has %d files, want %d", workers, s.Len(), len(files))
 		}
-		_, st := s.Relearn()
-		if st.WarmStarted {
-			t.Fatalf("workers=%d: first relearn claimed a warm start", workers)
-		}
+		s.Relearn()
 		if got, want := storeBytes(t, s.LearnedSpec()), storeBytes(t, scratchLearn(t, files, workers)); !bytes.Equal(got, want) {
 			t.Fatalf("workers=%d: cold session store differs from from-scratch", workers)
 		}
@@ -85,9 +83,6 @@ func TestSessionEquivalenceOracle(t *testing.T) {
 		s.SpliceSource(victim, mutated[victim])
 
 		_, st2 := s.Relearn()
-		if !st2.WarmStarted {
-			t.Fatalf("workers=%d: second relearn did not warm-start", workers)
-		}
 		if st2.FilesChanged != 1 {
 			t.Fatalf("workers=%d: FilesChanged = %d, want 1", workers, st2.FilesChanged)
 		}
@@ -99,35 +94,32 @@ func TestSessionEquivalenceOracle(t *testing.T) {
 		}
 		scratch := scratchLearn(t, mutated, workers)
 		if !specio.Equal(s.LearnedSpec(), scratch) {
-			t.Fatalf("workers=%d: warm session store not Equal to from-scratch", workers)
+			t.Fatalf("workers=%d: relearned session store not Equal to from-scratch", workers)
 		}
 		if got, want := storeBytes(t, s.LearnedSpec()), storeBytes(t, scratch); !bytes.Equal(got, want) {
-			t.Fatalf("workers=%d: warm session store bytes differ from from-scratch", workers)
+			t.Fatalf("workers=%d: relearned session store bytes differ from from-scratch", workers)
 		}
 	}
 }
 
-// TestSessionWarmMatchesCold: re-learning with no corpus change reuses
-// every span, warm-starts from the optimum, and lands on the same
-// store — the warm/cold golden test at the session level.
-func TestSessionWarmMatchesCold(t *testing.T) {
+// TestSessionRelearnIsStable: re-learning with no corpus change reuses
+// every span and repeats the first solve exactly — same epoch count,
+// same store bytes.
+func TestSessionRelearnIsStable(t *testing.T) {
 	files, _ := testCorpus(t, 10, 21)
 	s := sessionFrom(t, files, core.Config{Workers: 1})
 	res1, _ := s.Relearn()
-	cold := storeBytes(t, s.LearnedSpec())
+	first := storeBytes(t, s.LearnedSpec())
 
 	res2, st := s.Relearn()
-	if !st.WarmStarted {
-		t.Fatal("second relearn did not warm-start")
-	}
 	if st.Delta.SpansReused != s.Len() || st.Delta.SpansRebuilt != 0 {
 		t.Fatalf("no-change relearn reused %d/%d spans", st.Delta.SpansReused, s.Len())
 	}
-	if res2.SolverEpochs > res1.SolverEpochs {
-		t.Fatalf("warm solve took %d epochs, cold took %d", res2.SolverEpochs, res1.SolverEpochs)
+	if res2.SolverEpochs != res1.SolverEpochs {
+		t.Fatalf("second solve took %d epochs, first took %d", res2.SolverEpochs, res1.SolverEpochs)
 	}
-	if got := storeBytes(t, s.LearnedSpec()); !bytes.Equal(got, cold) {
-		t.Fatal("warm store differs from cold store")
+	if got := storeBytes(t, s.LearnedSpec()); !bytes.Equal(got, first) {
+		t.Fatal("second relearn's store differs from the first's")
 	}
 }
 
@@ -292,8 +284,8 @@ func TestSessionPinOverridesLearning(t *testing.T) {
 }
 
 // TestSessionSaveLoadRoundTrip: a persisted session resumes with the
-// same corpus, solution, and pins — the first relearn after Load
-// warm-starts and reproduces the pre-save store byte for byte.
+// same corpus and pins — the first relearn after Load reproduces the
+// pre-save store byte for byte.
 func TestSessionSaveLoadRoundTrip(t *testing.T) {
 	files, _ := testCorpus(t, 10, 31)
 	cfg := core.Config{Workers: 1}
@@ -329,10 +321,7 @@ func TestSessionSaveLoadRoundTrip(t *testing.T) {
 		}
 	}
 
-	_, st := s2.Relearn()
-	if !st.WarmStarted {
-		t.Fatal("restored session did not warm-start")
-	}
+	s2.Relearn()
 	if got := storeBytes(t, s2.LearnedSpec()); !bytes.Equal(got, want) {
 		t.Fatal("restored session store differs from pre-save store")
 	}
@@ -434,5 +423,112 @@ func TestSessionLoadRejects(t *testing.T) {
 	}
 	if _, err := incr.LoadDir(dir, corpus.ExperimentSeed(), cfg); err == nil {
 		t.Fatal("load of truncated state succeeded")
+	}
+}
+
+// TestSessionEditAndPinMatchesFresh: a 2400-file session that swaps in
+// 24 edited files and takes one reject pin must relearn the store a
+// fresh session over the edited files with the same pin learns. At this
+// size a relearn that resumed from the previous solution instead of
+// solving from scratch lands on a different store.
+func TestSessionEditAndPinMatchesFresh(t *testing.T) {
+	if raceEnabled {
+		t.Skip("2400-file oracle; make race covers Session by TestSessionConcurrentUse")
+	}
+	files, names := testCorpus(t, 2400, 5)
+	other, _ := testCorpus(t, 2400, 6)
+	cfg := core.Config{Workers: 2}
+	s := sessionFrom(t, files, cfg)
+	res, _ := s.Relearn()
+	learned := res.LearnedEntries(s.Seed())
+	if len(learned) == 0 {
+		t.Fatal("corpus learned no non-seed entries")
+	}
+
+	edited := make(map[string]string, len(files))
+	for n, src := range files {
+		edited[n] = src
+	}
+	swapped := 0
+	for _, n := range names {
+		if src, ok := other[n]; ok && src != files[n] && swapped < 24 {
+			edited[n] = src
+			s.SpliceSource(n, src)
+			swapped++
+		}
+	}
+	if swapped != 24 {
+		t.Fatalf("swapped %d files, want 24", swapped)
+	}
+	pin := learned[0]
+	s.Pin(pin.Rep, pin.Role, 0)
+	if _, st := s.Relearn(); st.FilesChanged != swapped {
+		t.Fatalf("relearn saw %d changed files, want %d", st.FilesChanged, swapped)
+	}
+
+	fresh := sessionFrom(t, edited, cfg)
+	fresh.Pin(pin.Rep, pin.Role, 0)
+	fresh.Relearn()
+	if !bytes.Equal(storeBytes(t, s.LearnedSpec()), storeBytes(t, fresh.LearnedSpec())) {
+		t.Fatal("edited and pinned session store differs from a fresh session's")
+	}
+}
+
+// TestSessionConcurrentUse drives every Session method from several
+// goroutines at once — the concurrency-safety the Session doc promises,
+// checked by make race — and then requires the settled session to learn
+// the same store as a fresh one over the final files and pins.
+func TestSessionConcurrentUse(t *testing.T) {
+	files, names := testCorpus(t, 20, 1)
+	cfg := core.Config{Workers: 2}
+	s := sessionFrom(t, files, cfg)
+	s.Relearn()
+	learned := s.Result().LearnedEntries(s.Seed())
+	if len(learned) == 0 {
+		t.Fatal("corpus learned no non-seed entries")
+	}
+	pin := learned[0]
+
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i, n := range names {
+				switch (i + w) % 6 {
+				case 0:
+					s.SpliceSource(n, files[n])
+				case 1:
+					s.Pin(pin.Rep, pin.Role, 0)
+				case 2:
+					s.Score(pin.Rep, pin.Role)
+					s.FileHash(n)
+					s.EncodedGraph(n)
+				case 3:
+					s.Relearn()
+				case 4:
+					s.LearnedSpec()
+					s.Files()
+					s.Len()
+					s.Pins()
+				case 5:
+					if s.Result() == nil {
+						t.Error("Result is nil after a Relearn")
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	s.Relearn()
+	fresh := sessionFrom(t, files, cfg)
+	fresh.Pin(pin.Rep, pin.Role, 0)
+	fresh.Relearn()
+	if !bytes.Equal(storeBytes(t, s.LearnedSpec()), storeBytes(t, fresh.LearnedSpec())) {
+		t.Fatal("store after concurrent use differs from a fresh session's")
+	}
+	if v, ok := s.Score(pin.Rep, pin.Role); !ok || v != 0 {
+		t.Fatalf("pinned score = %v, %v; want 0, true", v, ok)
 	}
 }

@@ -20,12 +20,13 @@ import (
 // Session persistence. One self-delimiting binary file ("state.bin" in
 // the session directory) carries everything a later process needs to
 // resume incrementally: the seed store, the learning knobs, every
-// corpus file's graph (binary-encoded) and source content hash, the
-// previous solution keyed by (rep, role), the feedback pins, and the
-// cold-solve epoch baseline. The file is an envelope (internal/envelope)
-// with magic "SINC", so a sha256 trailer self-checks the payload; any
-// corruption, version skew, or analyzer-version skew surfaces as an
-// error so the caller falls back to a cold session.
+// corpus file's graph (binary-encoded) and source content hash, and the
+// feedback pins. It holds no solution: every Relearn solves from
+// scratch, so a loaded session has nothing to resume but its corpus and
+// pins. The file is an envelope (internal/envelope) with magic "SINC",
+// so a sha256 trailer self-checks the payload; any corruption, version
+// skew, or analyzer-version skew surfaces as an error so the caller
+// falls back to a cold session.
 //
 // The flow-constraint cache is persisted beside the state as its own
 // checksummed file (constraints.FlowCache Save/Load), so a resumed
@@ -37,19 +38,22 @@ import (
 // forces.
 
 const (
-	stateMagic   = "SINC"
-	stateVersion = 1
+	stateMagic = "SINC"
+	// stateVersion 2 dropped version 1's previous-solution table and
+	// cold-epoch baseline; a version-1 file fails Load, and the caller
+	// starts a cold session.
+	stateVersion = 2
 	// StateFile is the session state file name inside a session directory.
 	StateFile = "state.bin"
 	// FlowCacheFile is the persisted flow-constraint cache beside it.
 	FlowCacheFile = "flowcache.bin"
 
 	// The smallest encodings of a file record (name length, content
-	// flag, content hash, graph length) and of a solution or pin record
-	// (rep length, role, value), in bytes: what Load bounds their
-	// declared counts by.
-	minFileBytes  = 8 + 1 + 32 + 8
-	minScoreBytes = 8 + 8 + 8
+	// flag, content hash, graph length) and of a pin record (rep
+	// length, role, value), in bytes: what Load bounds their declared
+	// counts by.
+	minFileBytes = 8 + 1 + 32 + 8
+	minPinBytes  = 8 + 8 + 8
 )
 
 // sessionKnobs are the learning parameters a persisted session is bound
@@ -101,17 +105,12 @@ func (s *Session) Save(path string) error {
 		b = envelope.AppendString64(b, fs.enc)
 	}
 
-	// The previous solution, then the feedback pins.
-	for _, m := range []map[PinKey]float64{s.prev, s.pins} {
-		b = envelope.AppendU64(b, uint64(len(m)))
-		for _, pk := range sortedKeys(m) {
-			b = envelope.AppendString64(b, pk.Rep)
-			b = envelope.AppendU64(b, uint64(pk.Role))
-			b = envelope.AppendF64(b, m[pk])
-		}
+	b = envelope.AppendU64(b, uint64(len(s.pins)))
+	for _, pk := range sortedKeys(s.pins) {
+		b = envelope.AppendString64(b, pk.Rep)
+		b = envelope.AppendU64(b, uint64(pk.Role))
+		b = envelope.AppendF64(b, s.pins[pk])
 	}
-
-	b = envelope.AppendU64(b, uint64(s.coldEpochs))
 	return envelope.WriteFile(path, envelope.Seal(b))
 }
 
@@ -195,23 +194,12 @@ func Load(path string, seed *spec.Spec, cfg core.Config) (*Session, error) {
 		}
 	}
 
-	readScores := func() map[PinKey]float64 {
-		n := r.Count64("score", minScoreBytes)
-		m := make(map[PinKey]float64, n)
-		for i := 0; i < n && r.Err() == nil; i++ {
-			rep := r.String64()
-			role := propgraph.Role(r.U64())
-			m[PinKey{Rep: rep, Role: role}] = r.F64()
-		}
-		return m
+	nPins := r.Count64("pin", minPinBytes)
+	for i := 0; i < nPins && r.Err() == nil; i++ {
+		rep := r.String64()
+		role := propgraph.Role(r.U64())
+		s.pins[PinKey{Rep: rep, Role: role}] = r.F64()
 	}
-	// A nil s.prev means "never solved": no warm start, no Score.
-	if prev := readScores(); len(prev) > 0 {
-		s.prev = prev
-	}
-	s.pins = readScores()
-
-	s.coldEpochs = int(r.U64())
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("incr: state file: %w", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"seldon/internal/core"
@@ -30,7 +31,7 @@ func savedState(t testing.TB, s *incr.Session) []byte {
 }
 
 // TestStateWireGolden pins the state.bin bytes of a fixed session after
-// a cold Relearn, a pin and a warm Relearn. A deliberate format change
+// a Relearn, a pin and a second Relearn. A deliberate format change
 // must bump stateVersion and re-pin.
 func TestStateWireGolden(t *testing.T) {
 	files, _ := testCorpus(t, 6, 11)
@@ -38,27 +39,27 @@ func TestStateWireGolden(t *testing.T) {
 	s.Relearn()
 	s.Pin("shellrun.invoke()", propgraph.Sink, 0)
 	s.Relearn()
-	const want = "8c1590bb8948996a4cffcfbfcc86383f6a52e8cee72b23c48d2e90b116919073"
+	const want = "006e1c74b7dca849829a8aa20ef91e894f705481d18507c4039d9ba9b5334733"
 	if got := fmt.Sprintf("%x", sha256.Sum256(savedState(t, s))); got != want {
 		t.Errorf("state.bin sha256 = %s, want %s", got, want)
 	}
 }
 
 // hugeCountBody is a checksum-valid state body (trailer not yet
-// appended) whose solution table declares 10^8 entries but carries
-// only a few bytes of them.
+// appended) whose pin table declares 10^8 entries but carries only a
+// few bytes of them.
 func hugeCountBody(t testing.TB) []byte {
 	t.Helper()
 	data := savedState(t, incr.NewSession(corpus.ExperimentSeed(), core.Config{Workers: 1}))
-	// An empty session's body ends in four u64s: file, solution and pin
-	// counts, then the cold-epoch baseline. Keep the file count.
-	body := data[:len(data)-envelope.TrailerSize-3*8]
+	// An empty session's body ends in two u64s, the file and pin counts.
+	// Keep the file count.
+	body := data[:len(data)-envelope.TrailerSize-8]
 	body = envelope.AppendU64(body, 1e8)
 	return append(body, make([]byte, 64)...)
 }
 
 // TestLoadBoundsAllocation: a small, correctly sealed state file that
-// declares a huge solution count must fail fast, without allocating for
+// declares a huge pin count must fail fast, without allocating for
 // the declared count.
 func TestLoadBoundsAllocation(t *testing.T) {
 	path := filepath.Join(t.TempDir(), incr.StateFile)
@@ -74,6 +75,23 @@ func TestLoadBoundsAllocation(t *testing.T) {
 	}
 	if d := after.TotalAlloc - before.TotalAlloc; d > 64<<20 {
 		t.Fatalf("Load allocated %d MiB for a small state file", d>>20)
+	}
+}
+
+// TestLoadRejectsVersion1: a state file from before the solution table
+// was dropped fails Load (its callers then start a cold session) even
+// when it is otherwise well formed.
+func TestLoadRejectsVersion1(t *testing.T) {
+	data := savedState(t, incr.NewSession(corpus.ExperimentSeed(), core.Config{Workers: 1}))
+	body := data[:len(data)-envelope.TrailerSize]
+	v1 := append(envelope.AppendU64(append([]byte(nil), body[:4]...), 1), body[12:]...)
+	path := filepath.Join(t.TempDir(), incr.StateFile)
+	if err := os.WriteFile(path, envelope.Seal(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := incr.Load(path, corpus.ExperimentSeed(), core.Config{Workers: 1}); err == nil ||
+		!strings.Contains(err.Error(), "state version 1") {
+		t.Fatalf("Load of a version-1 file = %v, want a state version error", err)
 	}
 }
 

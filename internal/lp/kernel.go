@@ -22,9 +22,9 @@ import (
 // (hinge fold, L1 fold, gradient scatter, Adam update) run sequentially
 // in a fixed order over those per-constraint results. Gradients and
 // violations are additionally bit-identical to the pre-kernel
-// implementation (kept as minimizeReference); objectives agree to ulps,
-// the L1 term being folded through the pinned-L1 constant instead of a
-// per-variable scan.
+// implementation (kept as the test reference minimizeReference in
+// reference_test.go); objectives agree to ulps, the L1 term being folded
+// through the pinned-L1 constant instead of a per-variable scan.
 
 // kernelChunk is the fixed number of constraints one pass task covers.
 // Chunk boundaries depend only on the problem size — never on
@@ -197,19 +197,6 @@ func minimizeKernel(p *Problem, opts Options) *Result {
 	k := compile(p)
 	n := p.NumVars
 	x := make([]float64, n)
-	if len(opts.WarmStart) == n {
-		// Warm start: clamp the donated iterate into the box, then pin.
-		// Pinned variables always carry their pinned values regardless of
-		// what the warm vector says.
-		for i, v := range opts.WarmStart {
-			if v < 0 {
-				v = 0
-			} else if v > 1 {
-				v = 1
-			}
-			x[i] = v
-		}
-	}
 	k.pin(x)
 
 	if opts.Iterations < 1 {
@@ -226,8 +213,7 @@ func minimizeKernel(p *Problem, opts Options) *Result {
 	bestObj := math.Inf(1)
 	prevObj := math.Inf(1)
 	iters := 0
-	stale := 0
-	tel := newEpochTelemetry(opts, x)
+	tel := newEpochTelemetry(opts)
 	// Telemetry for the epoch whose objective is still pending.
 	var gradSq, stepSq float64
 	pending := false
@@ -243,16 +229,10 @@ func minimizeKernel(p *Problem, opts Options) *Result {
 			if obj < bestObj {
 				bestObj = obj
 				copy(best, x)
-				stale = 0
-			} else {
-				stale++
 			}
 			tel.emitPrecomputed(t-1, obj, bestObj, hinge, gradSq, stepSq)
 			pending = false
 			if math.Abs(prevObj-obj) < opts.Tolerance {
-				break
-			}
-			if opts.Patience > 0 && stale >= opts.Patience {
 				break
 			}
 			prevObj = obj

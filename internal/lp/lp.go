@@ -169,24 +169,6 @@ type Options struct {
 	// term, gradient norm, step size, wall time). Leaving it nil keeps
 	// the solver on its telemetry-free fast path.
 	OnEpoch func(EpochStats)
-	// WarmStart, when its length equals Problem.NumVars, seeds the
-	// iterate with a previous solution instead of all zeros: values are
-	// clamped to [0,1] and pinned variables are re-pinned on top. A
-	// vector of any other length is ignored (cold start). Only the start
-	// point changes — Adam's moment estimates still begin at zero — so a
-	// warm solve walks the same descent dynamics from a closer iterate
-	// and typically converges in fewer epochs (Result.Iterations; the
-	// caller can report the saving, e.g. the solver.warm_epochs_saved
-	// gauge internal/incr publishes).
-	WarmStart []float64
-	// Patience, when positive, stops the solve after that many
-	// consecutive epochs without a best-objective improvement. Adam's
-	// per-epoch objective jitters forever on a hinge landscape, so the
-	// Tolerance check rarely fires; the plateau check is how a
-	// warm-started re-solve that begins at (or near) the optimum
-	// actually gets to stop early. Zero disables it, keeping the exact
-	// fixed-budget behaviour cold solves are calibrated against.
-	Patience int
 }
 
 func (o Options) withDefaults() Options {
@@ -223,12 +205,15 @@ type Result struct {
 }
 
 // Minimize runs projected Adam on the problem and returns the best
-// assignment found. The start point is all zeros with known variables
-// pinned (so an empty seed yields the trivial all-zero optimum, matching
-// the paper's Q6 observation). The solve runs on the compiled kernel of
-// kernel.go — constraints flattened into CSR arrays, violation, gradient,
-// and objective fused into one sharded pass per epoch — and is
-// bit-for-bit reproducible at any Options.Shards value.
+// assignment found. Every solve starts from all zeros with known
+// variables pinned (so an empty seed yields the trivial all-zero
+// optimum, matching the paper's Q6 observation) and runs the full
+// Iterations budget unless the Tolerance check stops it first, so the
+// result is a function of the problem and the options alone. The solve
+// runs on the compiled kernel of kernel.go — constraints flattened into
+// CSR arrays, violation, gradient, and objective fused into one sharded
+// pass per epoch — and is bit-for-bit reproducible at any Options.Shards
+// value.
 func Minimize(p *Problem, opts Options) *Result {
 	return minimizeKernel(p, opts.withDefaults())
 }

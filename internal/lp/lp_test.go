@@ -231,3 +231,36 @@ func TestNeverWorseThanStart(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// pinFixture is a two-hop implication chain whose head is a pinned seed
+// variable.
+func pinFixture() *Problem {
+	return &Problem{
+		NumVars: 3,
+		C:       0.25,
+		Lambda:  0.1,
+		Known:   map[int]float64{0: 1},
+		Constraints: []Constraint{
+			{LHS: []Term{{Var: 0, Coef: 1}}, RHS: []Term{{Var: 1, Coef: 1}}},
+			{LHS: []Term{{Var: 1, Coef: 1}}, RHS: []Term{{Var: 2, Coef: 1}}},
+		},
+	}
+}
+
+// TestPinInvalidatesMask: mutating a pin through Problem.Pin must be
+// visible to the next solve even when the pin count is unchanged (the
+// compiled mask caches by count).
+func TestPinInvalidatesMask(t *testing.T) {
+	p := pinFixture()
+	_ = Minimize(p, Options{}) // builds and caches the mask
+	p.Pin(0, 0)                // same count, different value
+	res := Minimize(p, Options{})
+	if res.X[0] != 0 {
+		t.Fatalf("re-pinned value not applied: x[0] = %g", res.X[0])
+	}
+	p.Pin(1, 1) // brand-new pin
+	res = Minimize(p, Options{})
+	if res.X[1] != 1 {
+		t.Fatalf("new pin not applied: x[1] = %g", res.X[1])
+	}
+}

@@ -25,18 +25,13 @@ type EpochStats struct {
 type epochTelemetry struct {
 	hook  func(EpochStats)
 	start time.Time
-	prevX []float64
 }
 
-func newEpochTelemetry(opts Options, x []float64) *epochTelemetry {
+func newEpochTelemetry(opts Options) *epochTelemetry {
 	if opts.OnEpoch == nil {
 		return nil
 	}
-	return &epochTelemetry{
-		hook:  opts.OnEpoch,
-		start: time.Now(),
-		prevX: append([]float64(nil), x...),
-	}
+	return &epochTelemetry{hook: opts.OnEpoch, start: time.Now()}
 }
 
 // emitPrecomputed invokes the hook with quantities the kernel solve
@@ -47,36 +42,6 @@ func (et *epochTelemetry) emitPrecomputed(epoch int, obj, best, hinge, gradSq, s
 	if et == nil {
 		return
 	}
-	et.hook(EpochStats{
-		Epoch:     epoch,
-		Objective: obj,
-		Best:      best,
-		Violation: hinge,
-		L1:        obj - hinge,
-		GradNorm:  math.Sqrt(gradSq),
-		StepSize:  math.Sqrt(stepSq),
-		Elapsed:   time.Since(et.start),
-	})
-}
-
-// emit computes the derived quantities and invokes the hook. obj and
-// best are the caller's already-computed objective values; the hinge
-// part is re-evaluated so the L1 term falls out by subtraction.
-func (et *epochTelemetry) emit(p *Problem, epoch int, x, grad []float64, free []bool, obj, best float64) {
-	if et == nil {
-		return
-	}
-	hinge := p.TotalViolation(x)
-	gradSq, stepSq := 0.0, 0.0
-	for i := range x {
-		if free != nil && !free[i] {
-			continue
-		}
-		gradSq += grad[i] * grad[i]
-		d := x[i] - et.prevX[i]
-		stepSq += d * d
-	}
-	copy(et.prevX, x)
 	et.hook(EpochStats{
 		Epoch:     epoch,
 		Objective: obj,

@@ -71,17 +71,6 @@ func TestOnEpochBestMonotoneOnConvexToy(t *testing.T) {
 	}
 }
 
-func TestOnEpochFiresForAllMethods(t *testing.T) {
-	for _, m := range []Method{Adam, SGD, AdaGrad} {
-		n := 0
-		opts := Options{Iterations: 50, OnEpoch: func(EpochStats) { n++ }}
-		r := MinimizeWith(convexToy(), opts, m)
-		if n != r.Iterations || n == 0 {
-			t.Errorf("%v: hook fired %d times over %d epochs", m, n, r.Iterations)
-		}
-	}
-}
-
 func TestOnEpochDoesNotPerturbSolution(t *testing.T) {
 	base := Minimize(convexToy(), Options{Iterations: 300})
 	hooked := Minimize(convexToy(), Options{Iterations: 300, OnEpoch: func(EpochStats) {}})

@@ -145,12 +145,8 @@ const (
 	GaugeIncrFilesChanged      = "incr.files_changed"
 	GaugeIncrSpansReused       = "incr.spans_reused"
 	GaugeIncrConstraintsReused = "incr.constraints_reused"
-	// GaugeSolverEpochs is the epoch count of the last solve;
-	// GaugeWarmEpochsSaved is the epoch saving of the last warm-started
-	// solve versus the session's most recent cold solve of the same
-	// corpus shape (clamped at zero).
-	GaugeSolverEpochs    = "solver.epochs"
-	GaugeWarmEpochsSaved = "solver.warm_epochs_saved"
+	// GaugeSolverEpochs is the epoch count of the last solve.
+	GaugeSolverEpochs = "solver.epochs"
 
 	// The continuous-learning feedback loop (seldond /v1/feedback).
 	// Counters split verdicts by direction; feedback.resolves counts the

@@ -18,9 +18,9 @@ import (
 // real") or reject ("false positive") — against either the finding's ID
 // or a (symbol, role) pair directly. The verdict pins the corresponding
 // specification variables as hard LP constraints in the server's
-// incremental-learning session (Config.Session), the session re-solves
-// warm-started against the cached constraint blocks, and the re-learned
-// store is published as a new immutable generation through the same
+// incremental-learning session (Config.Session), the session re-learns
+// over its cached constraint blocks with the from-scratch solve, and the
+// re-learned store is published as a new immutable generation through the same
 // swap machinery /v1/reload uses — so the check-result cache
 // invalidates structurally (stale generations stop being addressable)
 // and in-flight checks keep the snapshot they admitted with.
@@ -105,11 +105,9 @@ type FeedbackResponse struct {
 	Epoch            string `json:"epoch"`
 	Specs            int    `json:"specs"`
 	// Re-solve economics: how much of the constraint build the delta
-	// cache supplied and what the warm start saved.
-	SpansReused  int  `json:"spans_reused"`
-	WarmStarted  bool `json:"warm_started"`
-	SolverEpochs int  `json:"solver_epochs"`
-	EpochsSaved  int  `json:"epochs_saved"`
+	// cache supplied and how many epochs the solve ran.
+	SpansReused  int `json:"spans_reused"`
+	SolverEpochs int `json:"solver_epochs"`
 }
 
 // roleFromString parses the wire role names (the same vocabulary
@@ -252,11 +250,9 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	resp.Epoch = fp
 	resp.Specs = learned.Len()
 	resp.SpansReused = st.Delta.SpansReused
-	resp.WarmStarted = st.WarmStarted
 	resp.SolverEpochs = res.SolverEpochs
-	resp.EpochsSaved = st.EpochsSaved
 	s.cfg.Log.Log("feedback.applied", "verdict", req.Verdict, "pins", len(resp.Pinned),
 		"specs", learned.Len(), "epoch", fp, "spans_reused", st.Delta.SpansReused,
-		"epochs", res.SolverEpochs, "epochs_saved", st.EpochsSaved)
+		"epochs", res.SolverEpochs)
 	s.writeJSON(w, http.StatusOK, resp)
 }

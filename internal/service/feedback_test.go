@@ -26,13 +26,18 @@ def handler():
     shellrun.invoke(f)
 `
 
+// feedbackCorpus is the corpus newFeedbackServer learns from.
+func feedbackCorpus() map[string]string {
+	return corpus.Generate(corpus.Config{Files: 20, Seed: 1}).FileMap()
+}
+
 // newFeedbackServer learns a store from the generated corpus inside an
 // incremental session and serves it with the session attached.
 func newFeedbackServer(t *testing.T) (*Server, string, *incr.Session) {
 	t.Helper()
 	seed := corpus.ExperimentSeed()
 	sess := incr.NewSession(seed, core.Config{Workers: 1})
-	for name, src := range corpus.Generate(corpus.Config{Files: 20, Seed: 1}).FileMap() {
+	for name, src := range feedbackCorpus() {
 		sess.SpliceSource(name, src)
 	}
 	res, _ := sess.Relearn()
@@ -111,8 +116,9 @@ func TestFeedbackValidation(t *testing.T) {
 }
 
 // TestFeedbackRejectBySymbol: rejecting a learned entry pins it to 0,
-// re-solves incrementally (every span reused, warm start), publishes a
-// new generation, and the entry disappears from /v1/specs.
+// re-solves incrementally (every span reused), publishes a new
+// generation byte-identical to a fresh session's store over the same
+// corpus and pin, and the entry disappears from /v1/specs.
 func TestFeedbackRejectBySymbol(t *testing.T) {
 	s, url, sess := newFeedbackServer(t)
 	before := getHealth(t, url)
@@ -130,9 +136,6 @@ func TestFeedbackRejectBySymbol(t *testing.T) {
 	if out.Epoch == before.Epoch || out.Epoch == "" {
 		t.Fatalf("epoch did not advance: %q -> %q", before.Epoch, out.Epoch)
 	}
-	if !out.WarmStarted {
-		t.Error("feedback re-solve did not warm-start")
-	}
 	if out.SpansReused != sess.Len() {
 		t.Errorf("re-solve reused %d/%d spans", out.SpansReused, sess.Len())
 	}
@@ -143,6 +146,15 @@ func TestFeedbackRejectBySymbol(t *testing.T) {
 	}
 	if st.spec.RolesOf(target.Rep).Has(target.Role) {
 		t.Errorf("rejected entry %q still in serving store", target.Rep)
+	}
+	fresh := incr.NewSession(sess.Seed(), core.Config{Workers: 1})
+	for name, src := range feedbackCorpus() {
+		fresh.SpliceSource(name, src)
+	}
+	fresh.Pin(target.Rep, target.Role, 0)
+	fresh.Relearn()
+	if fp, err := specio.FingerprintStore(fresh.LearnedSpec(), st.meta); err != nil || fp != st.fingerprint {
+		t.Errorf("serving store %s differs from a fresh session's %s (%v)", st.fingerprint, fp, err)
 	}
 
 	after := getHealth(t, url)

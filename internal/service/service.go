@@ -143,10 +143,11 @@ type Config struct {
 
 	// Session, when non-nil, is the incremental-learning session behind
 	// POST /v1/feedback: operator verdicts pin (symbol, role) variables
-	// as hard LP constraints, the session re-solves warm-started, and the
-	// re-learned store is published as a new generation. Without it the
-	// feedback endpoint answers 409. The server owns re-solve
-	// serialization; the caller must not Relearn concurrently.
+	// as hard LP constraints, the session re-learns over its cached
+	// flow blocks with the from-scratch solve, and the re-learned store
+	// is published as a new generation. Without it the feedback
+	// endpoint answers 409. The server owns re-solve serialization; the
+	// caller must not Relearn concurrently.
 	Session *incr.Session
 
 	// CheckCacheEntries and CheckCacheBytes bound the check-result cache

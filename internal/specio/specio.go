@@ -94,8 +94,9 @@ func Encode(w io.Writer, s *spec.Spec, meta Meta) error {
 }
 
 // Decode reads a store produced by Encode, validating the schema
-// version and rejecting unknown fields (corruption shows up as an error,
-// not as silently dropped entries).
+// version and rejecting unknown fields and anything but whitespace after
+// the store object (corruption shows up as an error, not as silently
+// dropped entries).
 func Decode(r io.Reader) (*spec.Spec, Meta, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -103,8 +104,11 @@ func Decode(r io.Reader) (*spec.Spec, Meta, error) {
 	if err := dec.Decode(&st); err != nil {
 		return nil, Meta{}, fmt.Errorf("specio: decode: %w", err)
 	}
-	if st.Schema == 0 {
-		return nil, Meta{}, fmt.Errorf("specio: missing schema version (not a spec store?)")
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, Meta{}, fmt.Errorf("specio: trailing data after the store")
+	}
+	if st.Schema < 1 {
+		return nil, Meta{}, fmt.Errorf("specio: missing or invalid schema version %d (not a spec store?)", st.Schema)
 	}
 	if st.Schema > SchemaVersion {
 		return nil, Meta{}, fmt.Errorf("specio: schema %d is newer than supported %d", st.Schema, SchemaVersion)

@@ -140,18 +140,91 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 }
 
-func TestDecodeRejectsBadInput(t *testing.T) {
-	cases := map[string]string{
-		"not json":       "o: flask.request.args.get()\n",
-		"missing schema": `{"meta":{},"sources":[],"sanitizers":[],"sinks":[],"blacklist":[]}`,
-		"future schema":  `{"schema":999,"meta":{},"sources":[],"sanitizers":[],"sinks":[],"blacklist":[]}`,
-		"unknown field":  `{"schema":1,"bogus":true,"sources":[],"sanitizers":[],"sinks":[],"blacklist":[]}`,
+// badStores are inputs Decode must reject; they also seed
+// FuzzDecodeStore.
+func badStores() map[string]string {
+	valid := validStore()
+	return map[string]string{
+		"not json":          "o: flask.request.args.get()\n",
+		"missing schema":    `{"meta":{},"sources":[],"sanitizers":[],"sinks":[],"blacklist":[]}`,
+		"future schema":     `{"schema":999,"meta":{},"sources":[],"sanitizers":[],"sinks":[],"blacklist":[]}`,
+		"unknown field":     `{"schema":1,"bogus":true,"sources":[],"sanitizers":[],"sinks":[],"blacklist":[]}`,
+		"negative schema":   `{"schema":-3,"meta":{},"sources":[],"sanitizers":[],"sinks":[],"blacklist":[]}`,
+		"trailing garbage":  valid + "trailing garbage {",
+		"second object":     valid + valid,
+		"trailing brace":    valid + "}",
+		"truncated":         valid[:len(valid)/2],
+		"empty":             "",
+		"schema not number": `{"schema":"1","meta":{},"sources":[],"sanitizers":[],"sinks":[],"blacklist":[]}`,
 	}
-	for name, in := range cases {
+}
+
+// validStore is sampleSpec's encoding.
+func validStore() string {
+	var buf bytes.Buffer
+	if err := Encode(&buf, sampleSpec(), sampleMeta()); err != nil {
+		panic(err)
+	}
+	return buf.String()
+}
+
+func TestDecodeRejectsBadInput(t *testing.T) {
+	for name, in := range badStores() {
 		if _, _, err := Decode(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: Decode accepted bad input", name)
 		}
 	}
+}
+
+// TestDecodeAcceptsWhitespaceAndNegativeArgs: whitespace after the store
+// is not trailing data, and negative sink-argument positions are valid
+// (propgraph.ArgReceiver is -1, propgraph.ArgKeyword -2).
+func TestDecodeAcceptsWhitespaceAndNegativeArgs(t *testing.T) {
+	s := sampleSpec()
+	s.RestrictSinkArgs("os.system()", propgraph.ArgReceiver, propgraph.ArgKeyword)
+	var buf bytes.Buffer
+	if err := Encode(&buf, s, sampleMeta()); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := Decode(strings.NewReader(buf.String() + " \n\t\r\n"))
+	if err != nil {
+		t.Fatalf("Decode rejected a valid store followed by whitespace: %v", err)
+	}
+	if !Equal(got, s) {
+		t.Errorf("negative sink args lost: %v", got.SinkArgsOf("os.system()"))
+	}
+}
+
+// FuzzDecodeStore drives Decode with arbitrary bytes. The invariant:
+// Decode returns an error, or a spec whose Encode→Decode round trip is
+// Equal to it. The corpus is seeded with the golden store and the
+// rejection cases.
+func FuzzDecodeStore(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "store_v1.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	for _, in := range badStores() {
+		f.Add([]byte(in))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		s, meta, err := Decode(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := Encode(&buf, s, meta); err != nil {
+			t.Fatalf("Encode of a decoded store: %v", err)
+		}
+		again, _, err := Decode(&buf)
+		if err != nil {
+			t.Fatalf("re-decode of an encoded store: %v", err)
+		}
+		if !Equal(s, again) {
+			t.Fatalf("round trip changed the spec:\nin:  %s\nout: %s", s.Format(), again.Format())
+		}
+	})
 }
 
 func TestFingerprint(t *testing.T) {
